@@ -1,31 +1,51 @@
 #include "metrics/telemetry.h"
 
+#include <span>
 #include <stdexcept>
 
 #include "stats/geometry.h"
 
 namespace collapois::metrics {
 
-SplitUpdates split_updates(const fl::RoundTelemetry& telemetry) {
+namespace {
+
+// A round's update deltas split by the compromised flag, as views into
+// telemetry.updates: the angle kernel reads the rows in place, so the
+// summary never copies a round's updates.
+struct SplitRows {
+  std::vector<std::span<const float>> benign;
+  std::vector<std::span<const float>> malicious;
+};
+
+SplitRows split_rows(const fl::RoundTelemetry& telemetry) {
   // Protocols without transmitted updates (MetaFed) report sampled ids and
   // compromised flags but no update vectors; there is nothing to split.
   if (telemetry.updates.empty()) return {};
   if (telemetry.updates.size() != telemetry.compromised.size()) {
     throw std::invalid_argument("split_updates: flag size mismatch");
   }
-  SplitUpdates s;
+  SplitRows s;
   for (std::size_t i = 0; i < telemetry.updates.size(); ++i) {
-    if (telemetry.compromised[i]) {
-      s.malicious.push_back(telemetry.updates[i].delta);
-    } else {
-      s.benign.push_back(telemetry.updates[i].delta);
-    }
+    (telemetry.compromised[i] ? s.malicious : s.benign)
+        .emplace_back(telemetry.updates[i].delta);
+  }
+  return s;
+}
+
+}  // namespace
+
+SplitUpdates split_updates(const fl::RoundTelemetry& telemetry) {
+  const SplitRows rows = split_rows(telemetry);
+  SplitUpdates s;
+  for (const auto r : rows.benign) s.benign.emplace_back(r.begin(), r.end());
+  for (const auto r : rows.malicious) {
+    s.malicious.emplace_back(r.begin(), r.end());
   }
   return s;
 }
 
 RoundAngleSummary summarize_round_angles(const fl::RoundTelemetry& telemetry) {
-  const SplitUpdates s = split_updates(telemetry);
+  const SplitRows s = split_rows(telemetry);
   RoundAngleSummary out;
   out.n_benign = s.benign.size();
   out.n_malicious = s.malicious.size();
@@ -43,7 +63,7 @@ RoundAngleSummary summarize_round_angles(const fl::RoundTelemetry& telemetry) {
 }
 
 void AngleAccumulator::add(const fl::RoundTelemetry& telemetry) {
-  const SplitUpdates s = split_updates(telemetry);
+  const SplitRows s = split_rows(telemetry);
   if (s.benign.size() >= 2) {
     for (double a : stats::pairwise_angles(s.benign)) benign_.add(a);
   }

@@ -116,6 +116,16 @@ void write_rounds_json(std::ostream& os, const ExperimentConfig& config,
        << ", \"wall_ms\": " << r.wall_ms
        << ", \"agg_ms\": " << r.agg_ms
        << ", \"clients_per_sec\": " << r.clients_per_sec;
+    // Per-round pairwise-angle summary (Figs. 3/6, metrics::RoundAngleSummary),
+    // always present: zeros for a group with fewer than two updates, null
+    // when a diverged run's updates went non-finite.
+    os << ", \"angles\": {\"benign_mean\": "
+       << JsonNum{r.angles.benign_pairwise_mean}
+       << ", \"benign_std\": " << JsonNum{r.angles.benign_pairwise_std}
+       << ", \"malicious_mean\": " << JsonNum{r.angles.malicious_pairwise_mean}
+       << ", \"malicious_std\": " << JsonNum{r.angles.malicious_pairwise_std}
+       << ", \"n_benign\": " << r.angles.n_benign
+       << ", \"n_malicious\": " << r.angles.n_malicious << "}";
     if (config.net.enabled) {
       // Per-round transport block: message counters, bytes-on-wire under
       // the configured codec, and the virtual arrival-time quantiles

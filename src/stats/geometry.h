@@ -23,7 +23,8 @@ double l2_distance(std::span<const float> a, std::span<const float> b);
 // Cosine similarity in [-1, 1]; 0 if either vector is zero.
 double cosine_similarity(std::span<const float> a, std::span<const float> b);
 
-// Angle between two vectors in radians, in [0, pi]; 0 if either is zero.
+// Angle between two vectors in radians, in [0, pi]; pi/2 (acos of the
+// zero cosine above) if either is zero.
 double angle_between(std::span<const float> a, std::span<const float> b);
 
 // Double-precision overloads (label distributions in Eq. 9 are doubles).
@@ -58,10 +59,17 @@ void pairwise_sq_distances_gram(const float* rows, std::size_t n,
                                 std::size_t d, const double* row_sqnorms,
                                 double* out, runtime::ThreadPool* pool);
 
-// Pairwise angles among a set of vectors (upper triangle, i < j), the
-// quantity plotted in Fig. 3.
+// Pairwise angles among a set of vectors (upper triangle, i < j, row by
+// row), the quantity plotted in Fig. 3. Every entry is bitwise equal to
+// angle_between(vectors[i], vectors[j]); rows of unequal length throw
+// std::invalid_argument.
 std::vector<double> pairwise_angles(
     const std::vector<std::vector<float>>& vectors);
+
+// The same over borrowed rows (e.g. spans straight into a round's
+// ClientUpdate deltas), so callers never deep-copy vectors to measure them.
+std::vector<double> pairwise_angles(
+    std::span<const std::span<const float>> rows);
 
 // Angle of each vector against a fixed reference direction (Theorem 1's
 // beta_i with the aggregated malicious gradient as reference).

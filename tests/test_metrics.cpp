@@ -169,6 +169,19 @@ TEST(Telemetry, EmptyUpdatesAreFine) {
   EXPECT_EQ(s.n_malicious, 0u);
 }
 
+TEST(Telemetry, FlagSizeMismatchThrows) {
+  fl::RoundTelemetry t;
+  for (int i = 0; i < 3; ++i) {
+    fl::ClientUpdate u;
+    u.delta = {1.0f, static_cast<float>(i)};
+    t.updates.push_back(std::move(u));
+  }
+  t.compromised = {false, true};
+  EXPECT_THROW(summarize_round_angles(t), std::invalid_argument);
+  AngleAccumulator acc;
+  EXPECT_THROW(acc.add(t), std::invalid_argument);
+}
+
 TEST(Telemetry, AccumulatorAggregatesRounds) {
   AngleAccumulator acc;
   fl::RoundTelemetry t;

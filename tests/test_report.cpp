@@ -2,6 +2,8 @@
 // regressions that only need tiny federations.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "sim/report.h"
@@ -51,6 +53,32 @@ TEST(Report, CsvEscapesNothingButIsWellFormed) {
   write_series_csv(os, {{"a", 1.0, 0.0}, {"b", 0.5, 0.25}});
   EXPECT_EQ(os.str(),
             "series,benign_ac,attack_sr\na,1,0\nb,0.5,0.25\n");
+}
+
+TEST(Report, RoundsJsonCarriesTheAngleSummary) {
+  RoundRecord r;
+  r.round = 2;
+  r.angles.benign_pairwise_mean = 1.5;
+  r.angles.benign_pairwise_std = 0.25;
+  // A diverged run: non-finite angles must serialize as null.
+  r.angles.malicious_pairwise_mean = std::nan("");
+  r.angles.malicious_pairwise_std = std::numeric_limits<double>::infinity();
+  r.angles.n_benign = 7;
+  r.angles.n_malicious = 3;
+  std::ostringstream os;
+  write_rounds_json(os, ExperimentConfig{}, {r, RoundRecord{}});
+  const std::string s = os.str();
+  EXPECT_NE(s.find("\"angles\": {\"benign_mean\": 1.5, \"benign_std\": 0.25, "
+                   "\"malicious_mean\": null, \"malicious_std\": null, "
+                   "\"n_benign\": 7, \"n_malicious\": 3}"),
+            std::string::npos)
+      << s;
+  // The block is there on every round, also when nothing was measured.
+  EXPECT_NE(s.find("\"angles\": {\"benign_mean\": 0, \"benign_std\": 0, "
+                   "\"malicious_mean\": 0, \"malicious_std\": 0, "
+                   "\"n_benign\": 0, \"n_malicious\": 0}"),
+            std::string::npos)
+      << s;
 }
 
 TEST(Report, ExperimentTagContainsEveryAxis) {

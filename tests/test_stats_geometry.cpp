@@ -2,10 +2,13 @@
 // and Figs. 3/6.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "stats/geometry.h"
+#include "stats/rng.h"
 
 namespace collapois::stats {
 namespace {
@@ -63,6 +66,19 @@ TEST(Geometry, DoubleOverloads) {
   EXPECT_DOUBLE_EQ(l2_norm(std::span<const double>(a)), std::sqrt(5.0));
 }
 
+TEST(Geometry, AngleWithZeroVectorIsHalfPi) {
+  // acos of cosine_similarity's zero, not 0: the value every reported
+  // angle summary has always used for a zero update.
+  const std::vector<float> z = {0.0f, 0.0f};
+  const std::vector<float> x = {1.0f, 1.0f};
+  EXPECT_DOUBLE_EQ(angle_between(std::span<const float>(z), x), M_PI / 2.0);
+  EXPECT_DOUBLE_EQ(angle_between(std::span<const float>(x), z), M_PI / 2.0);
+  const auto angles = pairwise_angles({x, z, x});
+  ASSERT_EQ(angles.size(), 3u);
+  EXPECT_DOUBLE_EQ(angles[0], M_PI / 2.0);  // x vs zero row
+  EXPECT_DOUBLE_EQ(angles[2], M_PI / 2.0);  // zero row vs x
+}
+
 TEST(Geometry, PairwiseAnglesCountAndValues) {
   const std::vector<std::vector<float>> vs = {
       {1.0f, 0.0f}, {0.0f, 1.0f}, {1.0f, 0.0f}};
@@ -71,10 +87,40 @@ TEST(Geometry, PairwiseAnglesCountAndValues) {
   EXPECT_NEAR(angles[0], M_PI / 2.0, 1e-6);  // v0 vs v1
   EXPECT_NEAR(angles[1], 0.0, 1e-6);         // v0 vs v2
   EXPECT_NEAR(angles[2], M_PI / 2.0, 1e-6);  // v1 vs v2
+
+  // Bitwise equal to the per-pair angle_between on random rows, with n on
+  // both sides of the kernel's panel width and duplicate, anti-parallel
+  // and zero rows mixed in.
+  stats::Rng rng(13);
+  for (std::size_t n : {2, 3, 4, 5, 9, 64}) {
+    for (std::size_t d : {1, 7, 2178}) {
+      std::vector<std::vector<float>> rows(n, std::vector<float>(d));
+      for (auto& r : rows) {
+        for (auto& v : r) v = static_cast<float>(rng.normal(0.0, 1.0));
+      }
+      if (n > 2) rows[2] = rows[0];
+      if (n > 3) {
+        for (std::size_t p = 0; p < d; ++p) rows[3][p] = -rows[1][p];
+      }
+      if (n > 4) std::fill(rows[n - 2].begin(), rows[n - 2].end(), 0.0f);
+      const auto got = pairwise_angles(rows);
+      ASSERT_EQ(got.size(), n * (n - 1) / 2);
+      std::size_t k = 0;
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j, ++k) {
+          EXPECT_EQ(got[k], angle_between(rows[i], rows[j]))
+              << "n=" << n << " d=" << d << " pair (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+
+  EXPECT_THROW(pairwise_angles({{1.0f, 2.0f}, {1.0f}, {3.0f, 4.0f}}),
+               std::invalid_argument);
 }
 
 TEST(Geometry, PairwiseAnglesDegenerate) {
-  EXPECT_TRUE(pairwise_angles({}).empty());
+  EXPECT_TRUE(pairwise_angles(std::vector<std::vector<float>>{}).empty());
   EXPECT_TRUE(pairwise_angles({{1.0f}}).empty());
 }
 
