@@ -207,6 +207,7 @@ void finalize() {
         << "}";
   }
   out << "\n]}\n";
+  out.close();  // std::exit skips destructors: flush the artifact first
   if (!deterministic) std::exit(1);
 }
 

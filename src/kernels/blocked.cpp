@@ -21,7 +21,7 @@
 // entirely on those paths, so they must vectorize too.
 //
 // Determinism: per tier, results are bit-identical run-to-run and across
-// thread counts (the im2col/col2im batch fan-out writes disjoint ranges).
+// thread counts (every kernel runs single-threaded on the calling thread).
 // Across tiers, scalar == sse2 bitwise; avx2 GEMM differs only by the FMA
 // rounding and stays inside the cross-set tolerance. The reduction order
 // differs from the naive set's (float tiles vs double dot products),
@@ -35,7 +35,6 @@
 #include "kernels/gemm_driver.h"
 #include "kernels/ops_internal.h"
 #include "kernels/workspace.h"
-#include "runtime/parallel.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -321,9 +320,10 @@ void gemm_at_b_overwrite(const float* a, const float* b, float* c,
 // well-shaped GEMM instead of `batch` packing-dominated slivers. The GEMM
 // runs in [cout x batch*oh*ow] layout; a row-segment memcpy pass converts
 // to/from the tensor's [batch][cout][oh*ow] layout. The lowering order is
-// a pure function of the shape, and each batch image packs a disjoint
-// column range, so the kernel_pool() fan-out (nullptr = inline) leaves
-// results bit-identical for any thread count.
+// a pure function of the shape and each batch image packs a disjoint
+// column range. The per-image passes run inline on the calling thread: a
+// pool fan-out of these microsecond-sized bodies costs more in queueing
+// and wake-ups than it saves (DESIGN.md §9).
 void blocked_conv2d_forward(const Conv2dShape& s, const float* in,
                             const float* weights, const float* bias,
                             float* out) {
@@ -334,17 +334,17 @@ void blocked_conv2d_forward(const Conv2dShape& s, const float* in,
   float* col = ws.floats(Workspace::kIm2col, kdim * n_all).data();
   float* out_all = ws.floats(Workspace::kConvIo, s.cout * n_all).data();
   const TierOps& ops = tier_ops();
-  runtime::parallel_for(kernel_pool(), s.batch, [&](std::size_t b) {
+  for (std::size_t b = 0; b < s.batch; ++b) {
     ops.im2col(s, in + b * s.cin * s.h * s.w, col + b * ohow, n_all);
-  });
+  }
   // out_all[cout x batch*oh*ow] = W[cout x K] * col + bias (fused per-row).
   blocked_gemm(weights, col, out_all, s.cout, kdim, n_all, bias);
-  runtime::parallel_for(kernel_pool(), s.batch, [&](std::size_t b) {
+  for (std::size_t b = 0; b < s.batch; ++b) {
     for (std::size_t c = 0; c < s.cout; ++c) {
       std::memcpy(out + (b * s.cout + c) * ohow, out_all + c * n_all + b * ohow,
                   ohow * sizeof(float));
     }
-  });
+  }
 }
 
 void blocked_conv2d_backward(const Conv2dShape& s, const float* in,
@@ -357,13 +357,13 @@ void blocked_conv2d_backward(const Conv2dShape& s, const float* in,
   float* col = ws.floats(Workspace::kIm2col, kdim * n_all).data();
   float* go_all = ws.floats(Workspace::kConvIo, s.cout * n_all).data();
   const TierOps& ops = tier_ops();
-  runtime::parallel_for(kernel_pool(), s.batch, [&](std::size_t b) {
+  for (std::size_t b = 0; b < s.batch; ++b) {
     ops.im2col(s, in + b * s.cin * s.h * s.w, col + b * ohow, n_all);
     for (std::size_t c = 0; c < s.cout; ++c) {
       std::memcpy(go_all + c * n_all + b * ohow, go + (b * s.cout + c) * ohow,
                   ohow * sizeof(float));
     }
-  });
+  }
   // gw[cout x K] += go_all * col^T; the bias gradient rides the packing
   // pass as go_all's row sums.
   blocked_gemm_a_bt_accum(go_all, col, gw, s.cout, n_all, kdim, nullptr, gb);
@@ -372,9 +372,9 @@ void blocked_conv2d_backward(const Conv2dShape& s, const float* in,
   float* colgrad = ws.floats(Workspace::kColGrad, kdim * n_all).data();
   gemm_at_b_overwrite(weights, go_all, colgrad, s.cout, kdim, n_all, nullptr);
   // Each image's column gradient scatters onto a disjoint gi plane.
-  runtime::parallel_for(kernel_pool(), s.batch, [&](std::size_t b) {
+  for (std::size_t b = 0; b < s.batch; ++b) {
     ops.col2im_add(s, colgrad + b * ohow, n_all, gi + b * s.cin * s.h * s.w);
-  });
+  }
 }
 
 }  // namespace collapois::kernels::detail

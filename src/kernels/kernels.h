@@ -101,18 +101,16 @@ KernelKind active_kernels();
 const KernelOps& ops();                    // the active set
 const KernelOps& ops_for(KernelKind kind); // a specific set
 
-// --- kernel-internal parallelism ----------------------------------------
-// The conv lowering fans its per-image im2col/col2im passes out over this
-// thread-local pool (nullptr = run inline; see runtime/parallel.h). Each
-// image packs a disjoint range, so results are bit-identical for any
-// thread count — the pool trades wall time only.
+// --- kernel-internal parallelism (none) ---------------------------------
+// Every kernel runs single-threaded on the calling thread, and no kernel
+// reads kernel_pool(): fanning the conv lowering's per-image passes out
+// over a pool makes the Trojan strike slower, not faster (DESIGN.md §9).
 //
-// The pool is installed with ScopedKernelPool from code that is NOT
-// running inside a ThreadPool task (parallel_for must never nest, see
-// runtime/thread_pool.h). Worker threads never inherit it: the pointer is
-// thread-local, so kernels called from per-client training tasks always
-// see nullptr and stay sequential. Install it on the main thread around
-// single-model hot paths (trojan-model training, benches).
+// The pair below stays only because bench/e2e/harness.cpp, the traced
+// copy of sim::run_experiment, still names ScopedKernelPool. Installing a
+// pool changes nothing: the pointer is thread-local, recorded and
+// restored, and never consulted. Remove both once the harness stops
+// mirroring run_experiment (ROADMAP, span-recorder item).
 runtime::ThreadPool* kernel_pool();
 
 class ScopedKernelPool {

@@ -63,10 +63,9 @@ const KernelOps& ops() { return ops_for(active_kernels()); }
 
 namespace {
 
-// Thread-local by design: worker threads never install a kernel pool, so
-// kernels called from inside a ThreadPool task always see nullptr and
-// stay sequential — nested parallel_for (a deadlock, see
-// runtime/thread_pool.h) is impossible by construction.
+// No kernel reads this pointer; it survives only for the ScopedKernelPool
+// that bench/e2e/harness.cpp installs (see kernels.h). Thread-local, so a
+// worker thread never sees a pool lent on the main thread.
 thread_local runtime::ThreadPool* t_kernel_pool = nullptr;
 
 }  // namespace

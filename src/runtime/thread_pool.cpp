@@ -20,12 +20,22 @@ ThreadPool::ThreadPool(std::size_t threads) {
     throw std::invalid_argument("ThreadPool: zero threads");
   }
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread failed to start (e.g. EAGAIN). The destructor will not
+    // run, so join the workers already started here: unwinding past a
+    // joinable std::thread terminates, and past cv_ with waiters blocks.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;

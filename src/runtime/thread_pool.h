@@ -48,6 +48,8 @@ std::size_t resolve_thread_count(std::size_t requested);
 // sweep fan out; client code below never spawns) respects this.
 class ThreadPool {
  public:
+  // Throws std::invalid_argument for zero threads, and std::system_error
+  // if a worker cannot start (after joining the ones that did).
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
@@ -67,6 +69,7 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  void stop_and_join();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

@@ -503,13 +503,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     nn::Model attacker_model = wb.architecture;
     attacker_model.set_parameters(algo->global_params());
     stats::Rng attacker_rng = rng.fork();
-    // Trojan training runs on the main thread while the pool idles, so
-    // lend the pool to the conv kernels for the im2col batch fan-out
-    // (disjoint per-image writes — bit-identical for any thread count).
-    // Per-client training never gets this: kernel_pool() is thread-local
-    // and worker threads keep it null, which is what makes nested
-    // parallel_for impossible (see kernels/kernels.h).
-    kernels::ScopedKernelPool lend(pool.get());
     auto trained = core::train_trojaned_model(std::move(attacker_model),
                                               auxiliary, *wb.train_triggers[0],
                                               cfg.trojan_train, attacker_rng);

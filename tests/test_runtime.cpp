@@ -4,11 +4,17 @@
 // thread count, faults and checkpoint/resume included (DESIGN.md §7).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "kernels/kernels.h"
 #include "runtime/parallel.h"
@@ -121,6 +127,48 @@ TEST(RuntimePool, SingleWorkerPoolCompletesLargeBatch) {
   EXPECT_EQ(sum.load(), 499500u);
 }
 
+// VmSize of this process in bytes, or 0 if /proc/self/status lacks it.
+std::size_t virtual_size_bytes() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  std::size_t kib = 0;
+  while (in >> key) {
+    if (key == "VmSize:" && in >> kib) return kib * 1024;
+    in.ignore(4096, '\n');
+  }
+  return 0;
+}
+
+// Death-test child: cap the address space so std::thread fails partway
+// through ThreadPool's constructor, then exit 0 iff that failure surfaced
+// as std::system_error. The alarm turns a hang into a failure.
+[[noreturn]] void construct_pool_under_address_cap() {
+  const std::size_t vm = virtual_size_bytes();
+  if (vm == 0) std::exit(3);
+  const rlim_t cap = vm + (rlim_t{256} << 20);
+  const rlimit limit{cap, cap};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::exit(4);
+  alarm(30);
+  try {
+    runtime::ThreadPool pool(4096);
+  } catch (const std::system_error&) {
+    std::exit(0);
+  }
+  std::exit(1);  // every thread started: the cap did not bite
+}
+
+// The constructor must join the workers it already started and rethrow;
+// unwinding past them either aborts (a joinable std::thread is destroyed)
+// or blocks in the condition variable's destructor.
+TEST(RuntimePool, ConstructorFailureJoinsStartedWorkers) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory does not fit an address-space cap";
+#else
+  EXPECT_EXIT(construct_pool_under_address_cap(),
+              ::testing::ExitedWithCode(0), "");
+#endif
+}
+
 // --- determinism across thread counts ----------------------------------
 
 sim::ExperimentConfig parallel_config() {
@@ -158,12 +206,22 @@ void expect_element_exact(const sim::ExperimentResult& a,
 }
 
 TEST(RuntimeDeterminism, Threads1And4ProduceIdenticalResults) {
-  sim::ExperimentConfig cfg = parallel_config();
-  cfg.threads = 1;
-  const sim::ExperimentResult sequential = sim::run_experiment(cfg);
-  cfg.threads = 4;
-  const sim::ExperimentResult parallel = sim::run_experiment(cfg);
-  expect_element_exact(sequential, parallel);
+  // femnist_like trains LeNet, so the conv lowering runs both inside the
+  // round pool's tasks and on the main thread during the Trojan strike
+  // (attack_start_round 3 falls inside the run).
+  for (const auto dataset :
+       {sim::DatasetKind::sentiment_like, sim::DatasetKind::femnist_like}) {
+    SCOPED_TRACE(sim::dataset_name(dataset));
+    sim::ExperimentConfig cfg = parallel_config();
+    cfg.dataset = dataset;
+    cfg.threads = 1;
+    const sim::ExperimentResult sequential = sim::run_experiment(cfg);
+    ASSERT_FALSE(sequential.trojaned_model.empty());
+    cfg.threads = 4;
+    const sim::ExperimentResult parallel = sim::run_experiment(cfg);
+    expect_element_exact(sequential, parallel);
+    EXPECT_EQ(sequential.trojaned_model, parallel.trojaned_model);
+  }
 }
 
 TEST(RuntimeDeterminism, HoldsUnderFaultInjection) {
