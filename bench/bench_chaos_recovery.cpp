@@ -215,9 +215,9 @@ void run_failover(benchmark::State& state) {
     const sim::ExperimentResult base = sim::run_experiment(flat);
     FailoverResult r;
     for (const auto& rec : f.rounds) {
-      r.failures += rec.shard_failures;
-      r.failovers += rec.shard_failovers;
-      if (rec.degraded) ++r.degraded_rounds;
+      r.failures += rec.infra.shard_failures;
+      r.failovers += rec.infra.shard_failovers;
+      if (rec.infra.degraded) ++r.degraded_rounds;
       if (rec.aggregate_skipped) ++r.skipped_rounds;
     }
     r.bits_equal = bits_equal(f.final_global, base.final_global);

@@ -2,14 +2,15 @@
 // as a flag, results printed as tables or CSV. The fastest way to explore
 // the attack/defense landscape without writing code.
 //
-//   collapois_cli --dataset femnist --algorithm fedavg --attack collapois \
+//   collapois_cli --dataset femnist --algorithm fedavg --attack collapois
 //                 --defense dp --alpha 0.1 --fraction 0.05 --rounds 200
 //
 // Every numeric flag is validated at the parse site: probabilities must
 // be finite and in [0, 1], rates/durations finite and non-negative,
 // counts plain unsigned decimals (a "-1" is rejected rather than
-// silently wrapped by std::stoul). A bad value prints the flag table and
-// exits 2. The same table lives in README.md.
+// silently wrapped by std::stoul). Cross-flag rules are sim::validate's,
+// checked before the run starts. A bad value or combination prints the
+// flag table and exits 2. The same table lives in README.md.
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -408,74 +409,22 @@ int main(int argc, char** argv) {
         usage("unknown flag " + flag);
       }
     } catch (const std::exception& e) {
-      usage(std::string(e.what()));
+      usage(flag + ": " + e.what());
     }
   }
 
-  if (cfg.n_clients == 0) {
-    usage("--clients/--population must be at least 1");
-  }
-  if (cfg.rounds == 0) usage("--rounds must be at least 1");
-  if (cfg.sample_prob <= 0.0) usage("--q must be in (0, 1]");
-  if (net::codec_is_lossy(cfg.codec.kind) && !cfg.net.enabled) {
-    usage("a lossy --codec requires the simulated transport (--net) — "
-          "without a wire there is nothing to compress");
-  }
-  if (cfg.shards == 0) usage("--shards must be at least 1");
-  if (cfg.shards > cfg.n_clients) {
-    usage("--shards must not exceed the registered population "
-          "(--clients/--population)");
-  }
-  {
-    // A shard count beyond the expected round cohort means structurally
-    // empty shards every round — reject it like any other nonsensical
-    // topology instead of silently clamping.
-    const double expected = std::ceil(
-        cfg.sample_prob * static_cast<double>(cfg.n_clients));
-    const std::size_t expected_cohort =
-        expected < 1.0 ? 1 : static_cast<std::size_t>(expected);
-    if (cfg.shards > expected_cohort) {
-      usage("--shards exceeds the expected round cohort "
-            "(ceil(--q * --clients) = " + std::to_string(expected_cohort) +
-            ") — shards would sit empty every round");
-    }
-  }
-  if ((cfg.shards > 1 || cfg.lazy_clients) &&
-      cfg.algorithm == sim::AlgorithmKind::metafed) {
-    usage("--shards/--lazy-clients scale the server's round loop and do "
-          "not apply to --algorithm metafed");
-  }
-  if (cfg.lazy_clients && cfg.eval_max_clients == 0) {
-    usage("--lazy-clients requires --eval-max-clients > 0 — evaluating "
-          "every client would materialize the whole registered population");
-  }
-  if (cfg.net.enabled && cfg.net.latency_min_ms > cfg.net.latency_max_ms) {
-    usage("--net-latency-min must not exceed --net-latency-max");
+  // Cross-flag rules live in sim::validate, shared with every library
+  // caller. The one rule kept here depends on which flags were typed: a
+  // --shard-* knob that leaves the fault probabilities at zero is
+  // invisible in the config.
+  try {
+    sim::validate(cfg, opts);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
   if (shard_fault_flags && cfg.shards <= 1) {
     usage("--shard-* flags inject faults into the aggregation tree and "
           "require --shards > 1");
-  }
-  if (!opts.checkpoint_save_path.empty() && opts.checkpoint_round == 0 &&
-      opts.checkpoint_every == 0) {
-    usage("--checkpoint also needs --checkpoint-round or --checkpoint-every");
-  }
-  if (opts.checkpoint_every > 0 && opts.checkpoint_save_path.empty()) {
-    usage("--checkpoint-every needs --checkpoint PATH");
-  }
-  if (opts.checkpoint_keep == 0) {
-    usage("--checkpoint-keep must be at least 1");
-  }
-  if (opts.crash_round != sim::kNoCrash) {
-    if (opts.crash_round >= cfg.rounds) {
-      usage("--crash-at round must be below --rounds — the crash would "
-            "never fire");
-    }
-    if (opts.crash_phase != sim::CrashPhase::post_train &&
-        opts.checkpoint_every == 0) {
-      usage("--crash-at phases mid-buffer and mid-save interrupt the "
-            "checkpoint write and need --checkpoint-every");
-    }
   }
   std::cerr << "running " << sim::experiment_tag(cfg) << " ...\n";
   sim::ExperimentResult result;

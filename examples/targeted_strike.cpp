@@ -91,8 +91,9 @@ int main() {
 
   fl::ServerAlgorithm algo("fedavg", arch.get_parameters(),
                            std::make_unique<fl::FedAvgAggregator>(),
-                           fl::ServerConfig{1.0, 0.1}, std::move(clients),
-                           rng.fork());
+                           fl::ServerConfig{.learning_rate = 1.0,
+                                            .sample_prob = 0.1},
+                           std::move(clients), rng.fork());
   for (int r = 0; r < 150; ++r) algo.run_round();
 
   // Cohort vs rest: the targeted attack should infect the cohort harder.

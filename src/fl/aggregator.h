@@ -43,9 +43,10 @@ enum class ShardCapability { cohort_only, streaming, coordinate };
 
 // Per-round infrastructure accounting (DESIGN.md §13). Produced by
 // aggregators that model their own failures (the sharded tree under a
-// ShardFaultModel); flat rules report all-zero. Flows RoundTelemetry →
-// RoundRecord → the JSON "infra" block, mirroring how DropReason
-// accounts for the client plane.
+// ShardFaultModel); flat rules report all-zero. Lives in
+// RoundStats::infra (inherited by RoundTelemetry and sim::RoundRecord)
+// and reaches the JSON "infra" block, mirroring how DropReason accounts
+// for the client plane.
 struct InfraStats {
   // Failed shard attempts this round (every crash/timeout/corrupt draw,
   // including ones later recovered by retry).

@@ -36,6 +36,10 @@ RoundTelemetry MetaFedAlgorithm::run_round() {
     visited.push_back(
         static_cast<std::size_t>(rng_.uniform_int(clients_.size())));
   }
+  // Every visited client distills and is accepted: the cohort is exactly
+  // the visit list, so cohort == accepted holds like on the server path.
+  t.cohort_size = visited.size();
+  t.n_dispatched = visited.size();
   // Ring order: ascending client index with wraparound; the predecessor of
   // the first visited client is the last one.
   for (std::size_t k = 0; k < visited.size(); ++k) {

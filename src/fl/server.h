@@ -76,13 +76,14 @@ struct ServerConfig {
   // codec_capabilities() and the negotiated codec encodes that link's
   // payload. Identity (the default) keeps the wire format byte-identical
   // to the pre-codec layer. Ignored while the transport is disabled —
-  // updates never cross the wire there.
-  net::CodecConfig codec;
+  // updates never cross the wire there. (The braces let designated
+  // initializers omit this member without -Wmissing-field-initializers.)
+  net::CodecConfig codec{};
   // Round engine selection (DESIGN.md §11). `sync` reproduces the
   // pre-engine behavior bit-exactly; `buffered_async` runs the
   // event-driven scheduler with the knobs in `async`.
   RoundEngineKind engine = RoundEngineKind::sync;
-  AsyncConfig async;
+  AsyncConfig async{};
 };
 
 // Why an update was quarantined instead of aggregated.
@@ -110,40 +111,21 @@ enum class DropReason { compute, transport, deadline, excess, stale_discarded };
 
 const char* drop_reason_name(DropReason reason);
 
-struct RoundTelemetry {
+// The scalar part of a round's telemetry: counts, timings and transport,
+// async, scale and infrastructure accounting. sim::RoundRecord inherits
+// it, so the runner reports a round by one slice assignment.
+struct RoundStats {
   std::size_t round = 0;
-  // Ids of the clients whose updates were ACCEPTED into the aggregate.
-  // Clients that were sampled but dropped out or were quarantined appear
-  // in dropped_ids / rejected_ids instead, so the three vectors below
-  // stay parallel and every retained update is well-formed.
-  std::vector<std::size_t> sampled_ids;
-  // The accepted updates of the round (pseudo-gradients), in admission
-  // order (sync: sampling order; async: virtual arrival order); staleness
-  // weights already damped.
-  std::vector<ClientUpdate> updates;
-  // Flags parallel to `updates`.
-  std::vector<bool> compromised;
-  // The aggregated pseudo-gradient actually applied (zeros when the round
-  // was skipped).
-  tensor::FlatVec aggregated;
-
   // Fault accounting (fl/faults.h + the transport layer). The invariant
-  // cohort_size == sampled_ids.size() + dropped_ids.size() +
-  // rejected_ids.size() holds every round: each client lands in exactly
-  // one bucket. Under the sync engine, cohort_size is the sampled cohort
-  // (over-provisioned extras included) and every fate resolves within the
-  // round. Under buffered_async a sampled client's fate may resolve in a
-  // LATER cycle (its update is still in flight); cohort_size counts the
-  // fates RESOLVED this cycle, so the invariant holds per cycle and
-  // n_dispatched below carries the launch count.
-  std::vector<std::size_t> dropped_ids;
-  // Parallel to dropped_ids: which layer dropped the client.
-  std::vector<DropReason> drop_reasons;
-  std::vector<std::size_t> rejected_ids;
-  // Parallel to rejected_ids.
-  std::vector<RejectReason> reject_reasons;
-  // Sync: size of the sampled cohort, over-provisioned extras included.
-  // Async: number of client fates resolved this cycle (see above).
+  // cohort_size == accepted + dropped + rejected (RoundTelemetry's
+  // sampled_ids, dropped_ids and rejected_ids) holds every round: each
+  // client lands in exactly one bucket. Under the sync engine,
+  // cohort_size is the sampled cohort (over-provisioned extras included)
+  // and every fate resolves within the round. Under buffered_async a
+  // sampled client's fate may resolve in a LATER cycle (its update is
+  // still in flight); cohort_size counts the fates RESOLVED this cycle,
+  // so the invariant holds per cycle and n_dispatched below carries the
+  // launch count.
   std::size_t cohort_size = 0;
   // Message-level transport counters and arrival-time quantiles for the
   // round (all zero when the transport layer is disabled).
@@ -196,6 +178,31 @@ struct RoundTelemetry {
   // aggregator right after the round's aggregate() call. All-zero when
   // no shard faults are configured.
   InfraStats infra;
+};
+
+// A round's full telemetry: the scalar stats plus the per-client vectors.
+struct RoundTelemetry : RoundStats {
+  // Ids of the clients whose updates were ACCEPTED into the aggregate.
+  // Clients that were sampled but dropped out or were quarantined appear
+  // in dropped_ids / rejected_ids instead, so the three vectors below
+  // stay parallel and every retained update is well-formed.
+  std::vector<std::size_t> sampled_ids;
+  // The accepted updates of the round (pseudo-gradients), in admission
+  // order (sync: sampling order; async: virtual arrival order); staleness
+  // weights already damped.
+  std::vector<ClientUpdate> updates;
+  // Flags parallel to `updates`.
+  std::vector<bool> compromised;
+  // The aggregated pseudo-gradient actually applied (zeros when the round
+  // was skipped).
+  tensor::FlatVec aggregated;
+
+  std::vector<std::size_t> dropped_ids;
+  // Parallel to dropped_ids: which layer dropped the client.
+  std::vector<DropReason> drop_reasons;
+  std::vector<std::size_t> rejected_ids;
+  // Parallel to rejected_ids.
+  std::vector<RejectReason> reject_reasons;
 };
 
 class Server {

@@ -344,7 +344,7 @@ void validate_codec(const CodecConfig& config) {
       if (!std::isfinite(config.topk_fraction) || config.topk_fraction <= 0.0 ||
           config.topk_fraction > 1.0) {
         throw std::invalid_argument(
-            "CodecConfig: topk_fraction must be in (0, 1]");
+            "CodecConfig: topk_fraction must be in (0, 1] (--codec-topk)");
       }
       break;
   }
@@ -427,7 +427,8 @@ void encode_fp16(fl::StateWriter& w, std::span<const float> delta,
   std::vector<std::uint16_t> half(n);
   ops.f32_to_f16(delta.data(), half.data(), n);
   std::vector<std::uint8_t> blob(2 * n);
-  std::memcpy(blob.data(), half.data(), blob.size());
+  // An empty vector's data() may be null, which memcpy must never see.
+  if (n != 0) std::memcpy(blob.data(), half.data(), blob.size());
   w.write_bytes(blob);
 }
 
@@ -439,7 +440,7 @@ tensor::FlatVec decode_fp16(fl::StateReader& r, const detail::CodecOps& ops) {
     throw std::runtime_error("codec: fp16 blob size mismatch");
   }
   std::vector<std::uint16_t> half(n);
-  std::memcpy(half.data(), blob.data(), blob.size());
+  if (n != 0) std::memcpy(half.data(), blob.data(), blob.size());
   tensor::FlatVec out(n);
   ops.f16_to_f32(half.data(), out.data(), n);
   return out;
@@ -551,7 +552,7 @@ void encode_topk(fl::StateWriter& w, std::span<const float> delta,
   std::vector<std::uint16_t> half(k);
   ops.f32_to_f16(kept.data(), half.data(), k);
   std::vector<std::uint8_t> value_blob(2 * k);
-  std::memcpy(value_blob.data(), half.data(), value_blob.size());
+  if (k != 0) std::memcpy(value_blob.data(), half.data(), value_blob.size());
   w.write_bytes(value_blob);
 }
 
@@ -579,7 +580,7 @@ tensor::FlatVec decode_topk(fl::StateReader& r, const detail::CodecOps& ops) {
     throw std::runtime_error("codec: topk value blob size mismatch");
   }
   std::vector<std::uint16_t> half(k);
-  std::memcpy(half.data(), value_blob.data(), value_blob.size());
+  if (k != 0) std::memcpy(half.data(), value_blob.data(), value_blob.size());
   std::vector<float> vals(k);
   ops.f16_to_f32(half.data(), vals.data(), k);
   tensor::FlatVec out(n, 0.0f);

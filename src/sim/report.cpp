@@ -184,11 +184,12 @@ void write_rounds_json(std::ostream& os, const ExperimentConfig& config,
       // retries, failovers and the virtual backoff they cost; "degraded"
       // marks rounds that completed with fewer live shards (bit-exact
       // failover — the result is unchanged, only WHO computed it).
-      os << ", \"infra\": {\"shard_failures\": " << r.shard_failures
-         << ", \"shard_retries\": " << r.shard_retries
-         << ", \"shard_failovers\": " << r.shard_failovers
-         << ", \"backoff_virtual_ms\": " << r.shard_backoff_ms
-         << ", \"degraded\": " << (r.degraded ? "true" : "false") << "}";
+      os << ", \"infra\": {\"shard_failures\": " << r.infra.shard_failures
+         << ", \"shard_retries\": " << r.infra.shard_retries
+         << ", \"shard_failovers\": " << r.infra.shard_failovers
+         << ", \"backoff_virtual_ms\": " << r.infra.backoff_virtual_ms
+         << ", \"degraded\": " << (r.infra.degraded ? "true" : "false")
+         << "}";
     }
     if (r.population.has_value()) {
       os << ", \"benign_ac\": " << JsonNum{r.population->benign_ac}

@@ -1,8 +1,11 @@
 #include "sim/runner.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "agg/lazy_federation.h"
 #include "agg/lazy_population.h"
@@ -133,54 +136,126 @@ bool attack_needs_x(AttackKind kind) {
   return kind == AttackKind::collapois || kind == AttackKind::mrepl;
 }
 
+// The five fingerprints a checkpoint pins, each with the flags it covers:
+// make_checkpoint writes every row and resume compares every row.
+struct PinnedFingerprint {
+  std::uint64_t Checkpoint::*saved;
+  std::uint64_t current;
+  const char* pins;
+};
+
+std::array<PinnedFingerprint, 5> pinned_fingerprints(
+    const ExperimentConfig& cfg) {
+  return {{
+      {&Checkpoint::fingerprint, config_fingerprint(cfg),
+       "experiment configuration (--dataset, --algorithm, --attack, "
+       "--defense, --clients, --samples, --alpha, --fraction, --q, --strike, "
+       "--seed, --norm-ceiling, --dropout/--straggler/--corrupt, --kernels, "
+       "--defense-impl)"},
+      {&Checkpoint::net_fingerprint, net_fingerprint(cfg.net),
+       "network model (--net and every --net-* knob)"},
+      {&Checkpoint::engine_fingerprint, engine_fingerprint(cfg),
+       "round engine (--round-engine, --async-k/--async-t-ms/"
+       "--async-max-staleness)"},
+      {&Checkpoint::scale_fingerprint, scale_fingerprint(cfg),
+       "scale-out topology (--shards, --lazy-clients)"},
+      {&Checkpoint::codec_fingerprint, codec_fingerprint(cfg.codec),
+       "update codec (--codec, --codec-bits/--codec-topk)"},
+  }};
+}
+
 }  // namespace
+
+void validate(const ExperimentConfig& cfg, const RunOptions& options) {
+  net::validate_codec(cfg.codec);
+  const bool metafed = cfg.algorithm == AlgorithmKind::metafed;
+  const bool crash = options.crash_round != kNoCrash;
+  const bool q_valid = cfg.sample_prob > 0.0 && cfg.sample_prob <= 1.0;
+  // A shard count beyond the expected round cohort, ceil(q * n), means
+  // structurally empty shards every round. Only a valid q reaches the
+  // integer conversion, and n bounds it, so it cannot overflow.
+  const double expected =
+      q_valid ? std::ceil(cfg.sample_prob * static_cast<double>(cfg.n_clients))
+              : 1.0;
+  std::size_t expected_cohort = 1;
+  if (expected >= static_cast<double>(cfg.n_clients)) {
+    expected_cohort = cfg.n_clients;
+  } else if (expected > 1.0) {
+    expected_cohort = static_cast<std::size_t>(expected);
+  }
+  // MetaFed has no server round loop and no update channel, so none of
+  // the planes built on them applies to it; only the DP-style defenses
+  // have a MetaFed analogue (fl::MetaFedConfig).
+  const struct {
+    bool broken;
+    std::string message;
+  } rules[] = {
+      {cfg.n_clients == 0, "--clients/--population must be at least 1"},
+      {cfg.rounds == 0, "--rounds must be at least 1"},
+      {!q_valid, "--q must be in (0, 1]"},
+      {net::codec_is_lossy(cfg.codec.kind) && !cfg.net.enabled,
+       "a lossy --codec requires the simulated transport (--net) — without "
+       "a wire there is nothing to compress"},
+      {cfg.shards == 0, "--shards must be at least 1"},
+      {cfg.shards > cfg.n_clients,
+       "--shards must not exceed the registered population "
+       "(--clients/--population)"},
+      {cfg.shards > expected_cohort,
+       "--shards exceeds the expected round cohort (ceil(--q * --clients) = " +
+           std::to_string(expected_cohort) +
+           ") — shards would sit empty every round"},
+      {metafed && (cfg.shards > 1 || cfg.lazy_clients),
+       "--shards/--lazy-clients scale the server's round loop and do not "
+       "apply to --algorithm metafed"},
+      {cfg.lazy_clients && cfg.eval_max_clients == 0,
+       "--lazy-clients requires --eval-max-clients > 0 — evaluating every "
+       "client would materialize the whole registered population"},
+      {cfg.net.enabled && cfg.net.latency_min_ms > cfg.net.latency_max_ms,
+       "--net-latency-min must not exceed --net-latency-max"},
+      {cfg.shard_faults.any() && cfg.shards <= 1,
+       "--shard-* flags inject faults into the aggregation tree and require "
+       "--shards > 1"},
+      {!options.checkpoint_save_path.empty() &&
+           options.checkpoint_round == 0 && options.checkpoint_every == 0,
+       "--checkpoint also needs --checkpoint-round or --checkpoint-every"},
+      {options.checkpoint_every > 0 && options.checkpoint_save_path.empty(),
+       "--checkpoint-every needs --checkpoint PATH"},
+      {options.checkpoint_keep == 0, "--checkpoint-keep must be at least 1"},
+      {crash && options.crash_round >= cfg.rounds,
+       "--crash-at round must be below --rounds — the crash would never "
+       "fire"},
+      {crash && options.crash_phase != CrashPhase::post_train &&
+           options.checkpoint_every == 0,
+       "--crash-at phases mid-buffer and mid-save interrupt the checkpoint "
+       "write and need --checkpoint-every"},
+      {metafed && cfg.round_engine != fl::RoundEngineKind::sync,
+       "the round engine (--round-engine/--async-*) schedules the server's "
+       "round loop and does not apply to --algorithm metafed"},
+      {metafed && cfg.faults.any(),
+       "client fault injection (--dropout/--straggler/--corrupt) targets the "
+       "server's update channel and does not apply to --algorithm metafed"},
+      {metafed && cfg.net.enabled,
+       "the simulated transport (--net/--net-*) models the server's update "
+       "channel and does not apply to --algorithm metafed"},
+      {metafed && cfg.defense != defense::DefenseKind::none &&
+           cfg.defense != defense::DefenseKind::dp &&
+           cfg.defense != defense::DefenseKind::norm_bound,
+       "--algorithm metafed supports only --defense none|dp|normbound — "
+       "aggregation defenses (Krum/RLR/median/...) have no MetaFed analogue"},
+      {cfg.defense == defense::DefenseKind::ditto &&
+           cfg.algorithm != AlgorithmKind::fedavg,
+       "--defense ditto is a client-side personalization defense and "
+       "composes only with --algorithm fedavg"},
+  };
+  for (const auto& rule : rules) {
+    if (rule.broken) throw std::invalid_argument(rule.message);
+  }
+}
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 const RunOptions& options) {
-  if (cfg.rounds == 0) throw std::invalid_argument("run_experiment: 0 rounds");
-
-  // --- scale-out validation ----------------------------------------------
-  if (cfg.shards == 0) {
-    throw std::invalid_argument("run_experiment: --shards must be >= 1");
-  }
-  if (cfg.shards > cfg.n_clients) {
-    throw std::invalid_argument(
-        "run_experiment: --shards exceeds the registered population — a "
-        "shard without any possible member is a configuration error");
-  }
-  if ((cfg.shards > 1 || cfg.lazy_clients) &&
-      cfg.algorithm == AlgorithmKind::metafed) {
-    throw std::invalid_argument(
-        "run_experiment: the sharded aggregation tree and lazy populations "
-        "scale the server's round loop and do not apply to MetaFed");
-  }
-  if (cfg.lazy_clients && cfg.eval_max_clients == 0) {
-    throw std::invalid_argument(
-        "run_experiment: --lazy-clients requires --eval-max-clients > 0 — "
-        "evaluating every client would materialize the whole registered "
-        "population and defeat lazy instantiation");
-  }
-  if (cfg.shard_faults.any() && cfg.shards <= 1) {
-    throw std::invalid_argument(
-        "run_experiment: shard faults need an aggregation tree to fault — "
-        "--shard-* flags require --shards > 1");
-  }
-
-  // --- chaos / durability validation -------------------------------------
-  const bool periodic_saves =
-      !options.checkpoint_save_path.empty() && options.checkpoint_every > 0;
-  if (options.crash_round != kNoCrash && options.crash_round >= cfg.rounds) {
-    throw std::invalid_argument(
-        "run_experiment: crash_round is past the round budget — the crash "
-        "would never fire");
-  }
-  if (options.crash_round != kNoCrash &&
-      options.crash_phase != CrashPhase::post_train && !periodic_saves) {
-    throw std::invalid_argument(
-        "run_experiment: crash phases mid-buffer and mid-save interrupt the "
-        "checkpoint write and need periodic checkpointing "
-        "(checkpoint_save_path + checkpoint_every) to be configured");
-  }
+  validate(cfg, options);
+  const auto pins = pinned_fingerprints(cfg);
 
   // Select the compute-kernel set before any client math runs (and before
   // the pool spawns — workers only ever read the registry).
@@ -242,11 +317,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // below and the lazy factory) can wrap clients in the fault decorator.
   std::shared_ptr<fl::FaultModel> fault_model;
   if (cfg.faults.any()) {
-    if (cfg.algorithm == AlgorithmKind::metafed) {
-      throw std::invalid_argument(
-          "run_experiment: fault injection targets the server's update "
-          "channel and does not apply to MetaFed");
-    }
     fault_model = std::make_shared<fl::FaultModel>(cfg.faults);
     if (cfg.round_engine == fl::RoundEngineKind::buffered_async) {
       // Overlapping cohorts observe out of round order and buffered
@@ -269,12 +339,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     mrepl_boost =
         std::max(1.0, cfg.sample_prob * static_cast<double>(n)) /
         cfg.server_lr;
-  }
-  if (cfg.defense == defense::DefenseKind::ditto &&
-      cfg.algorithm != AlgorithmKind::fedavg) {
-    throw std::invalid_argument(
-        "run_experiment: Ditto is a client-side personalization defense "
-        "and composes only with FedAvg");
   }
   auto make_benign = [&](std::size_t i, stats::Rng crng)
       -> std::unique_ptr<fl::Client> {
@@ -390,28 +454,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // --- simulated transport ------------------------------------------------
   std::unique_ptr<net::NetworkModel> net_model;
   if (cfg.net.enabled) {
-    if (cfg.algorithm == AlgorithmKind::metafed) {
-      throw std::invalid_argument(
-          "run_experiment: the simulated transport models the server's "
-          "update channel and does not apply to MetaFed");
-    }
     net_model = std::make_unique<net::NetworkModel>(cfg.net);
-  }
-  net::validate_codec(cfg.codec);
-  if (net::codec_is_lossy(cfg.codec.kind) && !cfg.net.enabled) {
-    throw std::invalid_argument(
-        "run_experiment: a lossy --codec requires the simulated transport "
-        "(--net) — without a wire there is nothing to compress");
   }
 
   // --- federated algorithm ----------------------------------------------
   std::unique_ptr<fl::FlAlgorithm> algo;
   if (cfg.algorithm == AlgorithmKind::metafed) {
-    if (cfg.round_engine != fl::RoundEngineKind::sync) {
-      throw std::invalid_argument(
-          "run_experiment: the round engine schedules the server's round "
-          "loop and does not apply to MetaFed");
-    }
     fl::MetaFedConfig mcfg;
     mcfg.sample_prob = cfg.sample_prob;
     switch (cfg.defense) {
@@ -426,10 +474,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         mcfg.clip = cfg.defense_params.clip;
         mcfg.noise_std = cfg.defense_params.noise_std;
         break;
-      default:
-        throw std::invalid_argument(
-            "run_experiment: aggregation defenses (Krum/RLR/median/...) are "
-            "not applicable to MetaFed");
+      default:  // refused by validate()
+        break;
     }
     algo = std::make_unique<fl::MetaFedAlgorithm>(
         std::move(clients), wb.architecture, mcfg, rng.fork());
@@ -522,55 +568,23 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     // recovery is recorded in the result. keep_last bounds how far back
     // the walk goes.
     const CheckpointStore load_store(options.checkpoint_load_path,
-                                     std::max<std::size_t>(
-                                         options.checkpoint_keep, 1));
+                                     options.checkpoint_keep);
     CheckpointStore::Recovery recovery = load_store.load_newest();
     const Checkpoint ck = std::move(recovery.checkpoint);
     result.recovered_from = recovery.path;
     result.recovery_discarded = recovery.discarded;
-    if (ck.fingerprint != config_fingerprint(cfg)) {
-      throw std::invalid_argument(
-          "run_experiment: checkpoint was saved under a different "
-          "experiment configuration");
-    }
-    if (ck.net_fingerprint != net_fingerprint(cfg.net)) {
-      throw std::invalid_argument(
-          "run_experiment: checkpoint was saved under a different network "
-          "model — the transport was toggled or a --net-* parameter "
-          "(loss/corruption/duplication/latency/deadline/retry/backoff/"
-          "over-sampling/seed) changed since the checkpoint; resume with "
-          "the exact transport configuration the checkpoint was taken "
-          "under");
-    }
-    if (ck.engine_fingerprint != engine_fingerprint(cfg)) {
-      throw std::invalid_argument(
-          "run_experiment: checkpoint was saved under a different round "
-          "engine — the engine kind (--round-engine) or a buffered-async "
-          "knob (--async-k/--async-t-ms/--async-max-staleness) changed "
-          "since the checkpoint; resume with the exact round-engine "
-          "configuration the checkpoint was taken under");
-    }
-    if (ck.scale_fingerprint != scale_fingerprint(cfg)) {
-      throw std::invalid_argument(
-          "run_experiment: checkpoint was saved under a different scale-out "
-          "topology — the shard count (--shards) or the population mode "
-          "(--lazy-clients) changed since the checkpoint; lazy and eager "
-          "runs are different deterministic universes and the lazy state "
-          "blob stores only the materialized subset, so resume with the "
-          "exact scale configuration the checkpoint was taken under");
-    }
-    if (ck.codec_fingerprint != codec_fingerprint(cfg.codec)) {
-      throw std::invalid_argument(
-          "run_experiment: checkpoint was saved under a different update "
-          "codec — the codec kind (--codec) or one of its knobs "
-          "(--codec-bits/--codec-topk) changed since the checkpoint; a "
-          "lossy codec's quantization noise is part of the trajectory, so "
-          "resume with the exact codec configuration the checkpoint was "
-          "taken under");
+    for (const PinnedFingerprint& pin : pins) {
+      if (ck.*pin.saved != pin.current) {
+        throw std::invalid_argument(
+            std::string("run_experiment: checkpoint was saved under a "
+                        "different ") +
+            pin.pins + "; resume with the configuration it was taken under");
+      }
     }
     if (ck.rounds_completed > cfg.rounds) {
       throw std::invalid_argument(
-          "run_experiment: checkpoint is past this config's round budget");
+          "run_experiment: the checkpoint has completed more rounds than "
+          "--rounds allows");
     }
     start_round = ck.rounds_completed;
     rng.set_state(ck.run_rng);
@@ -598,6 +612,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     algo->load_state(r);
   }
 
+  const bool periodic_saves =
+      !options.checkpoint_save_path.empty() && options.checkpoint_every > 0;
   const bool save_requested =
       !options.checkpoint_save_path.empty() && options.checkpoint_round > 0 &&
       options.checkpoint_round < cfg.rounds;
@@ -605,27 +621,23 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
       save_requested ? options.checkpoint_round : cfg.rounds;
   if (save_requested && options.checkpoint_round <= start_round) {
     throw std::invalid_argument(
-        "run_experiment: checkpoint_round must be past the resume point");
+        "run_experiment: --checkpoint-round must be past the --resume "
+        "point");
   }
 
   // The durable rolling chain for periodic saves (and for the one-shot
   // halt save below, so both paths share rotation and atomicity).
   std::unique_ptr<CheckpointStore> store;
   if (!options.checkpoint_save_path.empty()) {
-    store = std::make_unique<CheckpointStore>(
-        options.checkpoint_save_path,
-        std::max<std::size_t>(options.checkpoint_keep, 1));
+    store = std::make_unique<CheckpointStore>(options.checkpoint_save_path,
+                                              options.checkpoint_keep);
   }
   // Every piece of mutable round-loop state, frozen as of
   // `rounds_completed`. Shared by the periodic saves, the chaos
   // mid-save tear, and the one-shot halt save.
   auto make_checkpoint = [&](std::size_t rounds_completed) {
     Checkpoint ck;
-    ck.fingerprint = config_fingerprint(cfg);
-    ck.net_fingerprint = net_fingerprint(cfg.net);
-    ck.engine_fingerprint = engine_fingerprint(cfg);
-    ck.scale_fingerprint = scale_fingerprint(cfg);
-    ck.codec_fingerprint = codec_fingerprint(cfg.codec);
+    for (const PinnedFingerprint& pin : pins) ck.*pin.saved = pin.current;
     ck.rounds_completed = rounds_completed;
     ck.run_rng = rng.state();
     ck.trojaned_model = result.trojaned_model;
@@ -649,33 +661,14 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     if (t >= cfg.attack_start_round) arm_attackers();
     fl::RoundTelemetry telemetry = algo->run_round();
     RoundRecord rec;
-    rec.round = t;
+    static_cast<fl::RoundStats&>(rec) = telemetry;
     rec.angles = metrics::summarize_round_angles(telemetry);
     rec.n_accepted = telemetry.sampled_ids.size();
     rec.n_dropped = telemetry.dropped_ids.size();
     rec.n_rejected = telemetry.rejected_ids.size();
-    rec.n_stragglers = telemetry.n_stragglers;
-    rec.aggregate_skipped = telemetry.aggregate_skipped;
-    rec.cohort_size = telemetry.cohort_size;
-    rec.transport = telemetry.transport;
-    for (fl::DropReason reason : telemetry.drop_reasons) {
-      if (reason == fl::DropReason::stale_discarded) ++rec.n_stale_discarded;
-    }
-    rec.n_dispatched = telemetry.n_dispatched;
-    rec.n_buffered = telemetry.n_buffered;
-    rec.virtual_now_ms = telemetry.virtual_now_ms;
-    rec.staleness_hist = telemetry.staleness_hist;
-    rec.wall_ms = telemetry.wall_ms;
-    rec.train_ms = telemetry.train_ms;
-    rec.agg_ms = telemetry.agg_ms;
-    rec.clients_per_sec = telemetry.clients_per_sec;
-    rec.peak_rss_bytes = telemetry.peak_rss_bytes;
-    rec.n_materialized = telemetry.n_materialized;
-    rec.shard_failures = telemetry.infra.shard_failures;
-    rec.shard_retries = telemetry.infra.shard_retries;
-    rec.shard_failovers = telemetry.infra.shard_failovers;
-    rec.shard_backoff_ms = telemetry.infra.backoff_virtual_ms;
-    rec.degraded = telemetry.infra.degraded;
+    rec.n_stale_discarded = static_cast<std::size_t>(
+        std::count(telemetry.drop_reasons.begin(), telemetry.drop_reasons.end(),
+                   fl::DropReason::stale_discarded));
     if (!result.trojaned_model.empty() &&
         cfg.algorithm != AlgorithmKind::metafed) {
       rec.distance_to_x = stats::l2_distance(algo->global_params(),

@@ -16,64 +16,24 @@
 
 namespace collapois::sim {
 
-struct RoundRecord {
-  std::size_t round = 0;
+// One round as the runner reports it: the scalar telemetry of the round
+// (fl::RoundStats, inherited so readers see one flat record) plus what the
+// runner derives from the full telemetry and the model.
+struct RoundRecord : fl::RoundStats {
   metrics::RoundAngleSummary angles;
   // ||theta^t - X|| after the round's update (0 when no attack / no X).
   double distance_to_x = 0.0;
   // Population metrics when eval_every hits this round.
   std::optional<metrics::PopulationMetrics> population;
 
-  // Fault accounting for the round (see fl::RoundTelemetry).
+  // The sizes of fl::RoundTelemetry's accepted / dropped / rejected id
+  // lists; cohort_size == n_accepted + n_dropped + n_rejected holds every
+  // round. n_stale_discarded counts the DropReason::stale_discarded slice
+  // of n_dropped (buffered_async only).
   std::size_t n_accepted = 0;
   std::size_t n_dropped = 0;
   std::size_t n_rejected = 0;
-  std::size_t n_stragglers = 0;
-  bool aggregate_skipped = false;
-
-  // Transport accounting (see net::TransportStats; all zero when the
-  // transport layer is disabled). cohort_size is the sampled cohort
-  // including over-provisioned extras; the invariant
-  // cohort_size == n_accepted + n_dropped + n_rejected holds every round.
-  std::size_t cohort_size = 0;
-  net::TransportStats transport;
-
-  // Buffered-async accounting (see fl::RoundTelemetry; zero/empty under
-  // the sync engine except n_dispatched = cohort_size). n_stale_discarded
-  // counts the DropReason::stale_discarded slice of n_dropped.
   std::size_t n_stale_discarded = 0;
-  std::size_t n_dispatched = 0;
-  std::size_t n_buffered = 0;
-  double virtual_now_ms = 0.0;
-  std::vector<std::size_t> staleness_hist;
-
-  // Runtime telemetry (see fl::RoundTelemetry): round wall-clock, the
-  // client-training slice of it, and trained-clients-per-second
-  // throughput. Observability only — never part of determinism
-  // comparisons or checkpoints.
-  double wall_ms = 0.0;
-  double train_ms = 0.0;
-  // The server-side aggregation slice of wall_ms (the defense hot path).
-  double agg_ms = 0.0;
-  double clients_per_sec = 0.0;
-
-  // Scale telemetry (see fl::RoundTelemetry): process peak RSS after the
-  // round (runtime::peak_rss_bytes; 0 where /proc is unavailable) and the
-  // number of clients instantiated so far (== n_clients for eager
-  // populations). Observability only, like the timing fields.
-  std::size_t peak_rss_bytes = 0;
-  std::size_t n_materialized = 0;
-
-  // Infrastructure fault accounting (fl::InfraStats, DESIGN.md §13):
-  // shard failures/retries/failovers inside the aggregation tree, the
-  // virtual backoff they cost, and whether the round completed degraded
-  // (failover redistributed a dead shard's work). All zero when no
-  // shard faults are configured.
-  std::size_t shard_failures = 0;
-  std::size_t shard_retries = 0;
-  std::size_t shard_failovers = 0;
-  double shard_backoff_ms = 0.0;
-  bool degraded = false;
 };
 
 struct ExperimentResult {
@@ -142,6 +102,14 @@ struct RunOptions {
   std::size_t crash_round = kNoCrash;
   CrashPhase crash_phase = CrashPhase::post_train;
 };
+
+// The one gate every caller goes through: throws std::invalid_argument,
+// naming the CLI flags involved, for any knob combination the simulator
+// cannot run with its accounting intact. run_experiment calls it first,
+// so a rejected config never builds data or runs round 0; the CLI calls
+// it before printing its banner. Checks that need the checkpoint itself
+// (fingerprints, the round budget) stay in run_experiment's resume path.
+void validate(const ExperimentConfig& config, const RunOptions& options = {});
 
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const RunOptions& options = {});

@@ -327,7 +327,9 @@ TEST(ServerSampling, FullParticipationAtProbabilityOne) {
     raw.push_back(owned.back().get());
   }
   flns::Server server({0.f}, std::make_unique<flns::FedAvgAggregator>(),
-                      flns::ServerConfig{1.0, 1.0}, stats::Rng(1));
+                      flns::ServerConfig{.learning_rate = 1.0,
+                                         .sample_prob = 1.0},
+                      stats::Rng(1));
   for (int round = 0; round < 3; ++round) {
     const flns::RoundTelemetry t = server.run_round(raw);
     ASSERT_EQ(t.sampled_ids.size(), 8u);
@@ -343,7 +345,9 @@ TEST(ServerSampling, EmptyCohortFallsBackToOneUniformClient) {
     raw.push_back(owned.back().get());
   }
   flns::Server server({0.f}, std::make_unique<flns::FedAvgAggregator>(),
-                      flns::ServerConfig{1.0, 1e-12}, stats::Rng(2));
+                      flns::ServerConfig{.learning_rate = 1.0,
+                                         .sample_prob = 1e-12},
+                      stats::Rng(2));
   for (int round = 0; round < 20; ++round) {
     const flns::RoundTelemetry t = server.run_round(raw);
     EXPECT_EQ(t.sampled_ids.size(), 1u);

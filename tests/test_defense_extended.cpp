@@ -130,7 +130,8 @@ TEST(Crfl, ServerAppliesPostUpdateHook) {
       std::make_unique<CrflAggregator>(
           CrflConfig{clip, 0.0}, std::make_unique<fl::FedAvgAggregator>(),
           stats::Rng(8)),
-      fl::ServerConfig{1.0, 1.0}, std::move(clients), stats::Rng(9));
+      fl::ServerConfig{.learning_rate = 1.0, .sample_prob = 1.0},
+      std::move(clients), stats::Rng(9));
   algo.run_round();
   EXPECT_LE(stats::l2_norm(algo.global_params()), clip + 1e-4);
 }

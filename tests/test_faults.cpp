@@ -262,7 +262,10 @@ class HardenedServerFixture : public ::testing::Test {
   static Server make_server(double norm_ceiling = 0.0) {
     return Server(tensor::FlatVec{0.f, 0.f},
                   std::make_unique<FedAvgAggregator>(),
-                  ServerConfig{1.0, 1.0, norm_ceiling}, stats::Rng(3));
+                  ServerConfig{.learning_rate = 1.0,
+                               .sample_prob = 1.0,
+                               .update_norm_ceiling = norm_ceiling},
+                  stats::Rng(3));
   }
 };
 

@@ -91,7 +91,8 @@ TEST_F(ServerFixture, RoundUpdatesGlobalAndTelemetry) {
 
   Server server(model_.get_parameters(),
                 std::make_unique<FedAvgAggregator>(),
-                ServerConfig{1.0, 0.5}, stats::Rng(5));
+                ServerConfig{.learning_rate = 1.0, .sample_prob = 0.5},
+                stats::Rng(5));
   const tensor::FlatVec before = server.global_params();
   const RoundTelemetry t = server.run_round(raw);
   EXPECT_EQ(t.round, 0u);
@@ -109,7 +110,8 @@ TEST_F(ServerFixture, AlwaysSamplesAtLeastOneClient) {
   for (auto& c : clients) raw.push_back(c.get());
   Server server(model_.get_parameters(),
                 std::make_unique<FedAvgAggregator>(),
-                ServerConfig{1.0, 1e-9}, stats::Rng(6));
+                ServerConfig{.learning_rate = 1.0, .sample_prob = 1e-9},
+                stats::Rng(6));
   for (int r = 0; r < 5; ++r) {
     const RoundTelemetry t = server.run_round(raw);
     EXPECT_GE(t.updates.size(), 1u);
@@ -117,13 +119,15 @@ TEST_F(ServerFixture, AlwaysSamplesAtLeastOneClient) {
 }
 
 TEST_F(ServerFixture, RejectsBadConstruction) {
-  EXPECT_THROW(Server({}, std::make_unique<FedAvgAggregator>(),
-                      ServerConfig{1.0, 0.5}, stats::Rng(1)),
+  const ServerConfig half{.learning_rate = 1.0, .sample_prob = 0.5};
+  EXPECT_THROW(Server({}, std::make_unique<FedAvgAggregator>(), half,
+                      stats::Rng(1)),
                std::invalid_argument);
-  EXPECT_THROW(Server({1.0f}, nullptr, ServerConfig{1.0, 0.5}, stats::Rng(1)),
+  EXPECT_THROW(Server({1.0f}, nullptr, half, stats::Rng(1)),
                std::invalid_argument);
   EXPECT_THROW(Server({1.0f}, std::make_unique<FedAvgAggregator>(),
-                      ServerConfig{1.0, 0.0}, stats::Rng(1)),
+                      ServerConfig{.learning_rate = 1.0, .sample_prob = 0.0},
+                      stats::Rng(1)),
                std::invalid_argument);
 }
 
@@ -131,8 +135,8 @@ TEST_F(ServerFixture, FedAvgTrainingImprovesAccuracy) {
   auto clients = make_benign_clients();
   ServerAlgorithm algo("fedavg", model_.get_parameters(),
                        std::make_unique<FedAvgAggregator>(),
-                       ServerConfig{1.0, 0.5}, std::move(clients),
-                       stats::Rng(7));
+                       ServerConfig{.learning_rate = 1.0, .sample_prob = 0.5},
+                       std::move(clients), stats::Rng(7));
   nn::Model probe = model_;
   probe.set_parameters(algo.global_params());
   const double before = nn::accuracy(probe, fed_.clients[0].test);
@@ -156,8 +160,8 @@ TEST_F(ServerFixture, FedDcPersonalizationBeatsGlobalOnSkewedData) {
   }
   ServerAlgorithm algo("feddc", model_.get_parameters(),
                        std::make_unique<FedAvgAggregator>(),
-                       ServerConfig{1.0, 0.6}, std::move(clients),
-                       stats::Rng(9));
+                       ServerConfig{.learning_rate = 1.0, .sample_prob = 0.6},
+                       std::move(clients), stats::Rng(9));
   for (int r = 0; r < 20; ++r) algo.run_round();
 
   nn::Model probe = model_;
@@ -224,7 +228,8 @@ TEST_F(ServerFixture, MetaFedClipAndNoiseBoundKnowledgeTransfer) {
 TEST(FedAvgAlgorithm, RejectsEmptyPopulation) {
   EXPECT_THROW(ServerAlgorithm("x", {1.0f},
                                std::make_unique<FedAvgAggregator>(),
-                               ServerConfig{1.0, 0.5},
+                               ServerConfig{.learning_rate = 1.0,
+                                            .sample_prob = 0.5},
                                std::vector<std::unique_ptr<Client>>{},
                                stats::Rng(1)),
                std::invalid_argument);

@@ -338,9 +338,9 @@ TEST(InfraFailoverEquality, FullExperimentBothEnginesMatchFlat) {
                 reference.rounds[t].distance_to_x);
       // Gate (c) of the chaos bench, unit-sized: degraded rounds still
       // aggregate — failover never skips a round.
-      if (result.rounds[t].shard_failovers > 0) {
+      if (result.rounds[t].infra.shard_failovers > 0) {
         ++degraded;
-        EXPECT_TRUE(result.rounds[t].degraded);
+        EXPECT_TRUE(result.rounds[t].infra.degraded);
         EXPECT_FALSE(result.rounds[t].aggregate_skipped);
       }
     }

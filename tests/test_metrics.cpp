@@ -215,8 +215,9 @@ TEST(EvaluateClients, EndToEndOnTinyFederation) {
   }
   fl::ServerAlgorithm algo("fedavg", model.get_parameters(),
                            std::make_unique<fl::FedAvgAggregator>(),
-                           fl::ServerConfig{1.0, 0.6}, std::move(clients),
-                           stats::Rng(5));
+                           fl::ServerConfig{.learning_rate = 1.0,
+                                            .sample_prob = 0.6},
+                           std::move(clients), stats::Rng(5));
   for (int r = 0; r < 15; ++r) algo.run_round();
 
   trojan::EmbeddingTrigger trigger({}, 6);

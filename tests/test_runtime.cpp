@@ -83,7 +83,7 @@ TEST(RuntimePool, ReusableAfterMidFanOutThrow) {
                           // Busy work keeps other workers in flight when
                           // the throw lands.
                           volatile int spin = 0;
-                          while (spin < 2000) ++spin;
+                          while (spin < 2000) spin = spin + 1;
                         }),
       std::runtime_error);
   EXPECT_GT(started.load(), 0u);

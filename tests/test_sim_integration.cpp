@@ -4,6 +4,7 @@
 // takes hold without defense; reports are well-formed).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -195,6 +196,148 @@ TEST(SimIntegration, MetaFedRejectsAggregationDefenses) {
   // DP and NormBound compose (via the knowledge-transfer analogue).
   cfg.defense = defense::DefenseKind::dp;
   EXPECT_NO_THROW(run_experiment(cfg));
+}
+
+// Every combination of the simulator's planes, at tiny scale, either runs
+// with cohort == accepted + dropped + rejected on every round, or is
+// refused before round 0 ends with a message that names a --flag.
+// sim::validate refuses exactly the cells run_experiment refuses, except
+// Krum under --shards 2, which ShardedAggregator refuses from the
+// defense's declared capability.
+TEST(ConfigSweep, EveryKnobCombinationRunsOrIsRejectedBeforeRoundZero) {
+  using defense::DefenseKind;
+  const AlgorithmKind algorithms[] = {AlgorithmKind::fedavg,
+                                      AlgorithmKind::feddc,
+                                      AlgorithmKind::metafed};
+  const AttackKind attacks[] = {AttackKind::none, AttackKind::collapois,
+                                AttackKind::dba};
+  const DefenseKind defenses[] = {DefenseKind::none, DefenseKind::dp,
+                                  DefenseKind::krum, DefenseKind::coord_median,
+                                  DefenseKind::ditto};
+  constexpr std::size_t kCells = 3 * 3 * 5 * 2 * 2 * 2 * 2 * 2 * 2 * 2;
+
+  std::size_t completed = 0;
+  std::size_t rejected = 0;
+  std::set<std::string> messages;
+  for (std::size_t cell = 0; cell < kCells; ++cell) {
+    std::size_t digits = cell;
+    auto pick = [&](std::size_t radix) {
+      const std::size_t d = digits % radix;
+      digits /= radix;
+      return d;
+    };
+    ExperimentConfig cfg;
+    cfg.dataset = DatasetKind::sentiment_like;
+    cfg.n_clients = 16;
+    cfg.samples_per_client = 10;
+    cfg.sample_prob = 0.5;
+    cfg.rounds = 4;
+    cfg.attack_start_round = 1;
+    cfg.threads = 1;
+    cfg.algorithm = algorithms[pick(3)];
+    cfg.attack = attacks[pick(3)];
+    cfg.defense = defenses[pick(5)];
+    if (pick(2) == 1) {
+      cfg.round_engine = fl::RoundEngineKind::buffered_async;
+      cfg.async.k = 3;
+      cfg.async.max_staleness = 2;
+    }
+    cfg.shards = 1 + pick(2);
+    if (pick(2) == 1) {
+      cfg.lazy_clients = true;
+      cfg.eval_max_clients = 4;
+    }
+    if (pick(2) == 1) {
+      cfg.net.enabled = true;
+      cfg.net.loss_prob = 0.1;
+      if (cfg.round_engine == fl::RoundEngineKind::sync) {
+        cfg.net.deadline_ms = 45.0;
+        cfg.net.over_sample = 0.25;
+      }
+    }
+    if (pick(2) == 1) cfg.codec.kind = net::CodecKind::int8;
+    if (pick(2) == 1) {
+      cfg.faults.dropout_prob = 0.1;
+      cfg.faults.straggler_prob = 0.1;
+      cfg.faults.corrupt_prob = 0.1;
+    }
+    if (pick(2) == 1) cfg.shard_faults.crash_prob = 0.2;
+    auto describe = [&] {
+      std::ostringstream os;
+      os << "cell " << cell << ": " << experiment_tag(cfg) << " engine="
+         << fl::round_engine_name(cfg.round_engine)
+         << " shards=" << cfg.shards << " lazy=" << cfg.lazy_clients
+         << " net=" << cfg.net.enabled
+         << " codec=" << net::codec_kind_name(cfg.codec.kind)
+         << " faults=" << cfg.faults.any()
+         << " shard_faults=" << cfg.shard_faults.any();
+      return os.str();
+    };
+
+    bool validate_rejects = false;
+    try {
+      validate(cfg);
+    } catch (const std::invalid_argument&) {
+      validate_rejects = true;
+    }
+    try {
+      const ExperimentResult r = run_experiment(cfg);
+      ++completed;
+      EXPECT_FALSE(validate_rejects) << describe();
+      for (const RoundRecord& rec : r.rounds) {
+        EXPECT_EQ(rec.cohort_size,
+                  rec.n_accepted + rec.n_dropped + rec.n_rejected)
+            << describe() << ", round " << rec.round;
+      }
+    } catch (const std::invalid_argument& e) {
+      ++rejected;
+      const std::string what = e.what();
+      messages.insert(what);
+      EXPECT_NE(what.find("--"), std::string::npos)
+          << describe() << ": " << what;
+      const bool capability_rejects =
+          cfg.defense == DefenseKind::krum && cfg.shards > 1;
+      EXPECT_TRUE(validate_rejects || capability_rejects)
+          << describe() << ": " << what;
+      // Before round 0 ends: with a crash scheduled at the end of round 0
+      // the config still fails the same way instead of crashing.
+      RunOptions crash;
+      crash.crash_round = 0;
+      try {
+        (void)run_experiment(cfg, crash);
+        ADD_FAILURE() << describe() << ": ran under a scheduled crash";
+      } catch (const std::invalid_argument& again) {
+        EXPECT_EQ(std::string(again.what()), what) << describe();
+      } catch (const std::exception& other) {
+        ADD_FAILURE() << describe() << ": rejected after round 0 ("
+                      << other.what() << ")";
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << describe() << ": threw " << e.what();
+    }
+  }
+  EXPECT_EQ(completed + rejected, kCells);
+  EXPECT_GT(completed, 0u);
+  RecordProperty("completed", static_cast<int>(completed));
+  RecordProperty("rejected", static_cast<int>(rejected));
+  RecordProperty("distinct_messages", static_cast<int>(messages.size()));
+}
+
+// Library callers reach the gate without the CLI's parse-site range
+// checks: an out-of-range q must be refused, not converted to a cohort
+// size (a NaN or huge double cast to an integer is undefined).
+TEST(ConfigSweep, ValidateRefusesOutOfRangeSampleProb) {
+  ExperimentConfig cfg = tiny_config();
+  cfg.shards = 2;
+  for (double q : {std::nan(""), 1e300, 1.5, 0.0, -0.5}) {
+    cfg.sample_prob = q;
+    try {
+      validate(cfg);
+      ADD_FAILURE() << "q = " << q << " passed the gate";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--q"), std::string::npos);
+    }
+  }
 }
 
 TEST(SimIntegration, ConfigParsersRoundTrip) {
