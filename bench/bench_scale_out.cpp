@@ -18,7 +18,8 @@
 //      bit-identical to the flat (--shards 1) run;
 //   2. rss_budget — peak RSS at N=10^5 stays under an absolute budget;
 //   3. rss_sublinear — peak RSS grows by far less than the 100x
-//      population growth (the lazy working set is O(cohort), not O(N)).
+//      population growth (the lazy working set is the distinct clients
+//      the run samples, not O(N)).
 // The curve lands in BENCH_scale_out.json in the working directory.
 #include <cstring>
 #include <fstream>
@@ -37,9 +38,9 @@ using namespace collapois;
 constexpr std::size_t kCohortTarget = 512;
 constexpr std::size_t kShards = 4;
 // Absolute peak-RSS budget for the 10^5-client point. The working set is
-// the ~512-client cohort plus the handful of materialized attackers —
-// measured ~10^2 MB; the budget leaves headroom without ever admitting
-// an O(N) population.
+// the ~1.5k distinct clients three rounds sample plus the materialized
+// attackers — measured ~25 MB; the budget leaves headroom without ever
+// admitting an O(N) population.
 constexpr std::size_t kRssBudgetBytes = 1536ull << 20;  // 1.5 GiB
 // Peak RSS may grow with N (bigger sampling bitmaps, more distinct
 // clients touched across rounds) but must stay far under the 100x

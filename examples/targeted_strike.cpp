@@ -69,7 +69,9 @@ int main() {
   const tensor::FlatVec target_dir =
       tensor::sub(arch.get_parameters(), probe.get_parameters());
 
-  // Population: benign clients + semi-ready compromised clients.
+  // Population: benign clients + semi-ready compromised clients, all
+  // training per-call clones of one shared architecture.
+  const auto shared_arch = std::make_shared<const nn::Model>(arch);
   std::vector<std::unique_ptr<fl::Client>> clients;
   std::vector<bool> compromised(n, false);
   for (std::size_t id : comp_ids) compromised[id] = true;
@@ -77,11 +79,11 @@ int main() {
     stats::Rng crng = rng.fork();
     if (!compromised[i]) {
       clients.push_back(std::make_unique<fl::BenignClient>(
-          i, &fed.clients[i].train, arch, sgd, 0.5, std::move(crng)));
+          i, &fed.clients[i].train, shared_arch, sgd, 0.5, std::move(crng)));
       continue;
     }
     auto dormant = std::make_unique<fl::BenignClient>(
-        i, &fed.clients[i].train, arch, sgd, 0.5, crng.fork());
+        i, &fed.clients[i].train, shared_arch, sgd, 0.5, crng.fork());
     auto attack = std::make_unique<core::CollaPoisClient>(
         i, tensor::FlatVec{}, core::CollaPoisConfig{}, crng.fork(),
         std::move(dormant));

@@ -4,29 +4,32 @@
 
 namespace collapois::attacks {
 
-PoisonTrainingClient::PoisonTrainingClient(std::size_t id,
-                                           data::Dataset training_data,
-                                           nn::Model model, nn::SgdConfig sgd,
-                                           double distill_weight,
-                                           stats::Rng rng)
+PoisonTrainingClient::PoisonTrainingClient(
+    std::size_t id, data::Dataset training_data,
+    std::shared_ptr<const nn::Model> architecture, nn::SgdConfig sgd,
+    double distill_weight, stats::Rng rng)
     : id_(id),
       data_(std::move(training_data)),
-      model_(std::move(model)),
+      architecture_(std::move(architecture)),
       sgd_(sgd),
       distill_weight_(distill_weight),
       rng_(std::move(rng)) {
   if (data_.empty()) {
     throw std::invalid_argument("PoisonTrainingClient: empty training data");
   }
+  if (architecture_ == nullptr) {
+    throw std::invalid_argument("PoisonTrainingClient: null architecture");
+  }
 }
 
 fl::ClientUpdate PoisonTrainingClient::compute_update(
     const fl::RoundContext& ctx) {
-  model_.set_parameters(ctx.global);
-  nn::train_sgd(model_, data_, sgd_, rng_);
+  nn::Model model = *architecture_;
+  model.set_parameters(ctx.global);
+  nn::train_sgd(model, data_, sgd_, rng_);
   fl::ClientUpdate u;
   u.client_id = id_;
-  u.delta = tensor::sub(ctx.global, model_.get_parameters());
+  u.delta = tensor::sub(ctx.global, model.get_parameters());
   u.weight = 1.0;
   return u;
 }

@@ -5,6 +5,8 @@
 // scatter of the local data distribution (Fig. 3b).
 #pragma once
 
+#include <memory>
+
 #include "data/dataset.h"
 #include "fl/client.h"
 
@@ -12,9 +14,12 @@ namespace collapois::attacks {
 
 class PoisonTrainingClient : public fl::Client {
  public:
+  // Like fl::BenignClient, trains a fresh clone of the shared
+  // `architecture` on every call and owns no model.
   PoisonTrainingClient(std::size_t id, data::Dataset training_data,
-                       nn::Model model, nn::SgdConfig sgd,
-                       double distill_weight, stats::Rng rng);
+                       std::shared_ptr<const nn::Model> architecture,
+                       nn::SgdConfig sgd, double distill_weight,
+                       stats::Rng rng);
 
   std::size_t id() const override { return id_; }
   bool is_compromised() const override { return true; }
@@ -26,7 +31,7 @@ class PoisonTrainingClient : public fl::Client {
  private:
   std::size_t id_;
   data::Dataset data_;
-  nn::Model model_;
+  std::shared_ptr<const nn::Model> architecture_;
   nn::SgdConfig sgd_;
   double distill_weight_;
   stats::Rng rng_;

@@ -3,15 +3,15 @@
 namespace collapois::defense {
 
 DittoClient::DittoClient(std::size_t id, const data::Dataset* train,
-                         nn::Model model, nn::SgdConfig sgd,
-                         DittoConfig ditto, double distill_weight,
-                         stats::Rng rng)
-    : BenignClient(id, train, std::move(model), sgd, distill_weight,
+                         std::shared_ptr<const nn::Model> architecture,
+                         nn::SgdConfig sgd, DittoConfig ditto,
+                         double distill_weight, stats::Rng rng)
+    : BenignClient(id, train, std::move(architecture), sgd, distill_weight,
                    std::move(rng)),
       ditto_(ditto) {}
 
 tensor::FlatVec DittoClient::eval_params(std::span<const float> global) {
-  auto& model = scratch_model();
+  nn::Model model = fresh_model();
   model.set_parameters(global);
   nn::SgdConfig cfg = sgd_config();
   cfg.epochs = ditto_.personal_epochs;

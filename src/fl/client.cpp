@@ -5,25 +5,30 @@
 namespace collapois::fl {
 
 BenignClient::BenignClient(std::size_t id, const data::Dataset* train,
-                           nn::Model model, nn::SgdConfig sgd,
-                           double distill_weight, stats::Rng rng)
+                           std::shared_ptr<const nn::Model> architecture,
+                           nn::SgdConfig sgd, double distill_weight,
+                           stats::Rng rng)
     : id_(id),
       train_(train),
-      model_(std::move(model)),
+      architecture_(std::move(architecture)),
       sgd_(sgd),
       distill_weight_(distill_weight),
       rng_(rng) {
   if (train_ == nullptr || train_->empty()) {
     throw std::invalid_argument("BenignClient: empty training data");
   }
+  if (architecture_ == nullptr) {
+    throw std::invalid_argument("BenignClient: null architecture");
+  }
 }
 
 ClientUpdate BenignClient::compute_update(const RoundContext& ctx) {
-  model_.set_parameters(ctx.global);
-  nn::train_sgd(model_, *train_, sgd_, rng_);
+  nn::Model model = fresh_model();
+  model.set_parameters(ctx.global);
+  nn::train_sgd(model, *train_, sgd_, rng_);
   ClientUpdate u;
   u.client_id = id_;
-  u.delta = tensor::sub(ctx.global, model_.get_parameters());
+  u.delta = tensor::sub(ctx.global, model.get_parameters());
   u.weight = 1.0;
   return u;
 }
@@ -44,15 +49,15 @@ void BenignClient::distill_round(nn::Model& personal, nn::Model& teacher) {
 }
 
 FedDcClient::FedDcClient(std::size_t id, const data::Dataset* train,
-                         nn::Model model, nn::SgdConfig sgd,
-                         double drift_penalty, double distill_weight,
-                         stats::Rng rng)
-    : BenignClient(id, train, std::move(model), sgd, distill_weight,
+                         std::shared_ptr<const nn::Model> architecture,
+                         nn::SgdConfig sgd, double drift_penalty,
+                         double distill_weight, stats::Rng rng)
+    : BenignClient(id, train, std::move(architecture), sgd, distill_weight,
                    std::move(rng)),
       drift_penalty_(drift_penalty) {}
 
 ClientUpdate FedDcClient::compute_update(const RoundContext& ctx) {
-  auto& model = scratch_model();
+  nn::Model model = fresh_model();
   if (drift_.empty()) drift_ = tensor::zeros(ctx.global.size());
   if (drift_.size() != ctx.global.size()) {
     throw std::invalid_argument("FedDcClient: model size changed");
@@ -99,7 +104,7 @@ void FedDcClient::load_state(StateReader& r) {
 }
 
 tensor::FlatVec FedDcClient::eval_params(std::span<const float> global) {
-  auto& model = scratch_model();
+  nn::Model model = fresh_model();
   model.set_parameters(global);
   if (drift_.empty()) drift_ = tensor::zeros(global.size());
   tensor::FlatVec anchor(global.begin(), global.end());

@@ -13,13 +13,14 @@
 // Concurrency contract (runtime/thread_pool.h): the round loop calls
 // compute_update() on DISTINCT clients concurrently, and the evaluation
 // sweep does the same with eval_params(). Implementations may therefore
-// mutate only state owned by this client instance (its scratch model,
-// its RNG stream, its drift variables); anything shared across clients —
-// the broadcast ctx.global span, the training Dataset, a trigger, the
-// shared Trojaned model X — must be treated as read-only for the duration
-// of the call. State shared intentionally (the FaultModel's stale-model
-// cache) synchronizes internally. No client is ever called concurrently
-// with itself.
+// mutate only state owned by this client instance (its RNG stream, its
+// drift variables) or by the call itself (the model it trains, cloned
+// from the shared architecture on entry); anything shared across clients
+// — the architecture, the broadcast ctx.global span, the training
+// Dataset, a trigger, the shared Trojaned model X — must be treated as
+// read-only for the duration of the call. State shared intentionally (the
+// FaultModel's stale-model cache) synchronizes internally. No client is
+// ever called concurrently with itself.
 #pragma once
 
 #include <cstdint>
@@ -66,19 +67,32 @@ class Client {
   virtual void distill_round(nn::Model& personal, nn::Model& teacher) = 0;
 
   // Checkpoint support: serialize exactly the state that evolves across
-  // rounds (local RNG streams, drift variables). Scratch models reset
-  // from the broadcast globals each round are NOT state. Writer and
-  // reader must mirror each other field-for-field.
+  // rounds (local RNG streams, drift variables). The models a call trains
+  // are cloned from the shared architecture and reset from the broadcast
+  // globals, so they are NOT state. Writer and reader must mirror each
+  // other field-for-field.
   virtual void save_state(StateWriter& /*w*/) const {}
   virtual void load_state(StateReader& /*r*/) {}
 };
 
 // A legitimate participant: K local epochs of mini-batch SGD from the
 // broadcast model (Algorithm 1, lines 7-10).
+//
+// The client owns no model. `architecture` is the experiment's one model
+// structure, shared read-only by every client; each call trains a fresh
+// clone of it, so no weights or cached activations outlive the call.
 class BenignClient : public Client {
  public:
-  BenignClient(std::size_t id, const data::Dataset* train, nn::Model model,
+  BenignClient(std::size_t id, const data::Dataset* train,
+               std::shared_ptr<const nn::Model> architecture,
                nn::SgdConfig sgd, double distill_weight, stats::Rng rng);
+  // For callers holding a model by value: wraps it as an architecture
+  // that only this client holds.
+  BenignClient(std::size_t id, const data::Dataset* train, nn::Model model,
+               nn::SgdConfig sgd, double distill_weight, stats::Rng rng)
+      : BenignClient(id, train,
+                     std::make_shared<const nn::Model>(std::move(model)), sgd,
+                     distill_weight, std::move(rng)) {}
 
   std::size_t id() const override { return id_; }
   ClientUpdate compute_update(const RoundContext& ctx) override;
@@ -87,18 +101,21 @@ class BenignClient : public Client {
   void load_state(StateReader& r) override;
 
  protected:
-  // Per-instance mutable state (scratch model, RNG stream) is safe to
-  // touch from compute_update()/eval_params() under the concurrency
-  // contract above; the dataset is shared and stays const.
+  // Per-instance mutable state (the RNG stream) is safe to touch from
+  // compute_update()/eval_params() under the concurrency contract above;
+  // the dataset and the architecture are shared and stay const.
   const data::Dataset& train_data() const { return *train_; }
-  nn::Model& scratch_model() { return model_; }
+  // A clone of the shared architecture with no cached activations,
+  // owned by the caller, who overwrites its parameters with
+  // set_parameters.
+  nn::Model fresh_model() const { return *architecture_; }
   const nn::SgdConfig& sgd_config() const { return sgd_; }
   stats::Rng& rng() { return rng_; }
 
  private:
   std::size_t id_;
   const data::Dataset* train_;
-  nn::Model model_;
+  std::shared_ptr<const nn::Model> architecture_;
   nn::SgdConfig sgd_;
   double distill_weight_;
   stats::Rng rng_;
@@ -111,9 +128,9 @@ class BenignClient : public Client {
 // so the aggregate tracks mean(theta_i + h_i).
 class FedDcClient : public BenignClient {
  public:
-  FedDcClient(std::size_t id, const data::Dataset* train, nn::Model model,
-              nn::SgdConfig sgd, double drift_penalty, double distill_weight,
-              stats::Rng rng);
+  FedDcClient(std::size_t id, const data::Dataset* train,
+              std::shared_ptr<const nn::Model> architecture, nn::SgdConfig sgd,
+              double drift_penalty, double distill_weight, stats::Rng rng);
 
   ClientUpdate compute_update(const RoundContext& ctx) override;
 

@@ -158,7 +158,7 @@ RoundTelemetry SyncRoundEngine::run_round(Server& server,
   t.n_dispatched = sampled.size();
 
   // Dispatch: each sampled client's local training is an independent task
-  // (per-client RNG streams and scratch models). Results land in
+  // (per-client RNG streams, per-call model clones). Results land in
   // `incoming` by sampling index, so the validation/quarantine/reduction
   // loop below sees the same updates in the same order for any pool size.
   RoundContext ctx{round, params};

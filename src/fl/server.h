@@ -219,9 +219,9 @@ class Server {
   //    thread pool;
   //  - the sampled cohort's local training is dispatched on config.pool
   //    (embarrassingly parallel: clients own their RNG streams and
-  //    scratch models) and results are collected by sampling index, so
-  //    the aggregate — and every checkpoint derived from it — is
-  //    bit-identical for any thread count;
+  //    train per-call model clones) and results are collected by
+  //    sampling index, so the aggregate — and every checkpoint derived
+  //    from it — is bit-identical for any thread count;
   //  - every incoming update is validated (dimension, finiteness,
   //    optional norm ceiling); failures are quarantined into the
   //    telemetry, never thrown — one bad client cannot kill a multi-hour

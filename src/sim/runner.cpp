@@ -171,6 +171,14 @@ void validate(const ExperimentConfig& cfg, const RunOptions& options) {
   const bool metafed = cfg.algorithm == AlgorithmKind::metafed;
   const bool crash = options.crash_round != kNoCrash;
   const bool q_valid = cfg.sample_prob > 0.0 && cfg.sample_prob <= 1.0;
+  // Each fault model draws one kind per decision from a stacked edge, so
+  // its kinds' probabilities must fit in one unit interval.
+  const double fault_mass = cfg.faults.dropout_prob +
+                            cfg.faults.straggler_prob +
+                            cfg.faults.corrupt_prob;
+  const double shard_fault_mass = cfg.shard_faults.crash_prob +
+                                  cfg.shard_faults.timeout_prob +
+                                  cfg.shard_faults.corrupt_prob;
   // A shard count beyond the expected round cohort, ceil(q * n), means
   // structurally empty shards every round. Only a valid q reaches the
   // integer conversion, and n bounds it, so it cannot overflow.
@@ -246,6 +254,16 @@ void validate(const ExperimentConfig& cfg, const RunOptions& options) {
            cfg.algorithm != AlgorithmKind::fedavg,
        "--defense ditto is a client-side personalization defense and "
        "composes only with --algorithm fedavg"},
+      {fault_mass > 1.0,
+       "--dropout + --straggler + --corrupt must sum to at most 1 — a "
+       "client draws at most one fault per round"},
+      {shard_fault_mass > 1.0,
+       "--shard-crash + --shard-timeout + --shard-corrupt must sum to at "
+       "most 1 — a shard attempt draws at most one fault"},
+      {cfg.round_engine == fl::RoundEngineKind::buffered_async &&
+           cfg.async.k == 0 && cfg.async.t_ms <= 0.0,
+       "--round-engine buffered_async needs an aggregation trigger: "
+       "--async-k > 0 or --async-t-ms > 0"},
   };
   for (const auto& rule : rules) {
     if (rule.broken) throw std::invalid_argument(rule.message);
@@ -340,21 +358,24 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         std::max(1.0, cfg.sample_prob * static_cast<double>(n)) /
         cfg.server_lr;
   }
+  // Every training client clones this one read-only architecture per
+  // call; none keeps a model of its own.
+  const auto architecture = std::make_shared<const nn::Model>(wb.architecture);
   auto make_benign = [&](std::size_t i, stats::Rng crng)
       -> std::unique_ptr<fl::Client> {
     if (cfg.defense == defense::DefenseKind::ditto) {
       return std::make_unique<defense::DittoClient>(
-          i, &wb.client_data(i).train, wb.architecture, cfg.local_sgd,
+          i, &wb.client_data(i).train, architecture, cfg.local_sgd,
           defense::DittoConfig{cfg.defense_params.ditto_lambda, 1},
           cfg.metafed_distill_weight, std::move(crng));
     }
     if (cfg.algorithm == AlgorithmKind::feddc) {
       return std::make_unique<fl::FedDcClient>(
-          i, &wb.client_data(i).train, wb.architecture, cfg.local_sgd,
+          i, &wb.client_data(i).train, architecture, cfg.local_sgd,
           cfg.feddc_penalty, cfg.metafed_distill_weight, std::move(crng));
     }
     return std::make_unique<fl::BenignClient>(
-        i, &wb.client_data(i).train, wb.architecture, cfg.local_sgd,
+        i, &wb.client_data(i).train, architecture, cfg.local_sgd,
         cfg.metafed_distill_weight, std::move(crng));
   };
   // Builds client i with its per-client RNG already positioned — shared
@@ -387,7 +408,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
       case AttackKind::dpois:
         return attacks::make_dpois_client(
             i, wb.client_data(i).train, *wb.train_triggers[0], cfg.dpois,
-            wb.architecture, cfg.local_sgd, cfg.metafed_distill_weight,
+            architecture, cfg.local_sgd, cfg.metafed_distill_weight,
             std::move(crng));
       case AttackKind::dba: {
         const auto& part =
@@ -396,7 +417,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
             wb.client_data(i).train, part, cfg.dba.target_label,
             cfg.dba.poison_fraction, crng);
         return std::make_unique<attacks::PoisonTrainingClient>(
-            i, std::move(poisoned), wb.architecture, cfg.local_sgd,
+            i, std::move(poisoned), architecture, cfg.local_sgd,
             cfg.metafed_distill_weight, std::move(crng));
       }
       case AttackKind::none:

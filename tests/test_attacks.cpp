@@ -23,12 +23,14 @@ struct AttackFixture : ::testing::Test {
                                .num_hidden_layers = 1});
     model.init(rng);
     global = model.get_parameters();
+    architecture = std::make_shared<const nn::Model>(model);
   }
 
   stats::Rng rng;
   data::SyntheticTextGenerator gen;
   data::Dataset local;
   nn::Model model;
+  std::shared_ptr<const nn::Model> architecture;
   tensor::FlatVec global;
   nn::SgdConfig sgd{.learning_rate = 0.05, .batch_size = 16, .epochs = 2};
 };
@@ -36,7 +38,7 @@ struct AttackFixture : ::testing::Test {
 TEST_F(AttackFixture, DPoisClientIsCompromisedAndProducesUpdate) {
   trojan::EmbeddingTrigger trigger({}, 1);
   auto client = make_dpois_client(3, local, trigger, DPoisConfig{0, 0.5},
-                                  model, sgd, 0.5, rng.fork());
+                                  architecture, sgd, 0.5, rng.fork());
   EXPECT_EQ(client->id(), 3u);
   EXPECT_TRUE(client->is_compromised());
   fl::RoundContext ctx{0, global};
@@ -46,8 +48,8 @@ TEST_F(AttackFixture, DPoisClientIsCompromisedAndProducesUpdate) {
 }
 
 TEST_F(AttackFixture, PoisonTrainingClientRejectsEmptyData) {
-  EXPECT_THROW(PoisonTrainingClient(0, data::Dataset(2), model, sgd, 0.5,
-                                    rng.fork()),
+  EXPECT_THROW(PoisonTrainingClient(0, data::Dataset(2), architecture, sgd,
+                                    0.5, rng.fork()),
                std::invalid_argument);
 }
 
@@ -77,7 +79,7 @@ TEST_F(AttackFixture, MReplClipBoundsUpdate) {
 
 TEST_F(AttackFixture, MReplDormantBehavesBenignly) {
   auto dormant = std::make_unique<fl::BenignClient>(
-      2, &local, model, sgd, 0.5, rng.fork());
+      2, &local, architecture, sgd, 0.5, rng.fork());
   MReplClient client(2, {}, MReplConfig{.boost = 5.0}, std::move(dormant));
   EXPECT_FALSE(client.armed());
   fl::RoundContext ctx{0, global};
@@ -118,7 +120,8 @@ TEST_F(AttackFixture, DbaClientUsesAssignedPart) {
   nn::Model lenet = nn::make_lenet_small({});
   lenet.init(r2);
   auto client = make_dba_client(4, img_local, parts, 2, DbaConfig{0, 0.5},
-                                lenet, sgd, 0.5, r2.fork());
+                                std::make_shared<const nn::Model>(lenet), sgd,
+                                0.5, r2.fork());
   EXPECT_TRUE(client->is_compromised());
   const tensor::FlatVec g = lenet.get_parameters();
   fl::RoundContext ctx{0, g};
@@ -128,8 +131,8 @@ TEST_F(AttackFixture, DbaClientUsesAssignedPart) {
 
 TEST_F(AttackFixture, DbaRejectsEmptyParts) {
   std::vector<trojan::PatchTrigger> none;
-  EXPECT_THROW(make_dba_client(0, local, none, 0, DbaConfig{}, model, sgd,
-                               0.5, rng.fork()),
+  EXPECT_THROW(make_dba_client(0, local, none, 0, DbaConfig{}, architecture,
+                               sgd, 0.5, rng.fork()),
                std::invalid_argument);
 }
 

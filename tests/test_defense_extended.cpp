@@ -158,7 +158,8 @@ TEST(Ditto, PersonalModelBeatsCorruptGlobalLocally) {
                                        .num_classes = 2,
                                        .num_hidden_layers = 1});
   model.init(rng);
-  DittoClient client(0, &fed.clients[0].train, model,
+  DittoClient client(0, &fed.clients[0].train,
+                     std::make_shared<const nn::Model>(model),
                      nn::SgdConfig{.learning_rate = 0.05, .batch_size = 16,
                                    .epochs = 3},
                      DittoConfig{0.01, 3}, 0.5, rng.fork());

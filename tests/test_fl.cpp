@@ -152,9 +152,10 @@ TEST_F(ServerFixture, FedDcPersonalizationBeatsGlobalOnSkewedData) {
   // Strongly skewed federation so personalization matters.
   data::FederatedData skewed = data::build_federation(gen_, 6, 60, 0.05, rng);
   std::vector<std::unique_ptr<Client>> clients;
+  const auto architecture = std::make_shared<const nn::Model>(model_);
   for (std::size_t i = 0; i < skewed.num_clients(); ++i) {
     clients.push_back(std::make_unique<FedDcClient>(
-        i, &skewed.clients[i].train, model_,
+        i, &skewed.clients[i].train, architecture,
         nn::SgdConfig{.learning_rate = 0.05, .batch_size = 16, .epochs = 2},
         0.1, 0.5, rng.fork()));
   }

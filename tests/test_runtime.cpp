@@ -16,7 +16,12 @@
 #include <string>
 #include <system_error>
 
+#include "data/partition.h"
+#include "data/synthetic_image.h"
+#include "defense/ditto.h"
+#include "fl/client.h"
 #include "kernels/kernels.h"
+#include "nn/zoo.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "sim/runner.h"
@@ -301,6 +306,84 @@ TEST(RuntimeDeterminism, FullParticipationFedDcMatchesAcrossThreads) {
   cfg.threads = 4;
   const sim::ExperimentResult parallel = sim::run_experiment(cfg);
   expect_element_exact(sequential, parallel);
+}
+
+TEST(RuntimeDeterminism, ClientsSharingOneArchitectureMatchPrivateCopies) {
+  // Training clients clone one read-only architecture per call. Run
+  // concurrently over a single shared LeNet (so conv inputs, ReLU masks
+  // and max-pool indices are cached inside each clone), they must match
+  // the same clients built with private copies and run one at a time.
+  stats::Rng rng(41);
+  data::SyntheticImageGenerator gen({}, 42);
+  const data::FederatedData fed =
+      data::build_federation(gen, 21, 20, 1.0, rng);
+  nn::Model lenet = nn::make_lenet_small({});
+  lenet.init(rng);
+  const tensor::FlatVec theta = lenet.get_parameters();
+  const tensor::FlatVec next_theta = [&] {
+    tensor::FlatVec v = theta;
+    tensor::scale_inplace(v, 0.9);
+    return v;
+  }();
+  const nn::SgdConfig sgd{.learning_rate = 0.05, .batch_size = 4,
+                          .epochs = 1};
+
+  // Clients 0-15 are benign, 16-19 FedDC and 20 Ditto. A null `shared`
+  // gives every client a private copy of the architecture.
+  auto build = [&](const std::shared_ptr<const nn::Model>& shared) {
+    std::vector<std::unique_ptr<fl::Client>> clients;
+    for (std::size_t i = 0; i < fed.num_clients(); ++i) {
+      auto arch = shared ? shared : std::make_shared<const nn::Model>(lenet);
+      const data::Dataset* train = &fed.clients[i].train;
+      stats::Rng crng(1000 + i);
+      if (i < 16) {
+        clients.push_back(std::make_unique<fl::BenignClient>(
+            i, train, std::move(arch), sgd, 0.5, crng));
+      } else if (i < 20) {
+        clients.push_back(std::make_unique<fl::FedDcClient>(
+            i, train, std::move(arch), sgd, 0.1, 0.5, crng));
+      } else {
+        clients.push_back(std::make_unique<defense::DittoClient>(
+            i, train, std::move(arch), sgd, defense::DittoConfig{0.1, 1},
+            0.5, crng));
+      }
+    }
+    return clients;
+  };
+  // Two rounds of compute_update (FedDC's drift carries across them),
+  // then eval_params on the personalizing clients.
+  auto run = [&](std::vector<std::unique_ptr<fl::Client>>& clients,
+                 runtime::ThreadPool* pool) {
+    std::vector<tensor::FlatVec> out;
+    std::size_t round = 0;
+    for (const tensor::FlatVec* global : {&theta, &next_theta}) {
+      const fl::RoundContext ctx{round++, *global};
+      const auto updates = runtime::parallel_map(
+          pool, clients.size(),
+          [&](std::size_t i) { return clients[i]->compute_update(ctx); });
+      for (const auto& u : updates) out.push_back(u.delta);
+    }
+    const auto evals = runtime::parallel_map(pool, 5, [&](std::size_t j) {
+      return clients[16 + j]->eval_params(next_theta);
+    });
+    out.insert(out.end(), evals.begin(), evals.end());
+    return out;
+  };
+
+  auto private_clients = build(nullptr);
+  const std::vector<tensor::FlatVec> reference = run(private_clients, nullptr);
+
+  const auto shared = std::make_shared<const nn::Model>(lenet);
+  auto shared_clients = build(shared);
+  runtime::ThreadPool pool(4);
+  const std::vector<tensor::FlatVec> concurrent = run(shared_clients, &pool);
+
+  ASSERT_EQ(concurrent.size(), reference.size());
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(concurrent[k], reference[k]);  // element-exact
+  }
+  EXPECT_EQ(shared->get_parameters(), theta);
 }
 
 }  // namespace
