@@ -4,8 +4,11 @@
 // architectures (LeNet-small on 16x16 FEMNIST-like images, the MLP head
 // on 32-d sentiment embeddings) actually execute, at the training batch
 // size, plus one channel-richer conv at CIFAR-like scale, and times
-// forward + backward of each. The naive set is measured once (it has no
-// dispatch); the blocked set is measured once per ISA tier the host can
+// forward + backward of each. It also times kernels::pairwise_dots, the
+// O(n^2 d) core of the per-round angle summary, at the benign cohorts of
+// the e2e workloads (n x d = 512 x 2178, 62 x 4794, 32 x 2178). The
+// naive set is measured once (it has no dispatch); the blocked set and
+// the pairwise dots are measured once per ISA tier the host can
 // run (cpu_dispatch.h), re-pinned with set_active_tier between runs —
 // unless COLLAPOIS_FORCE_ISA pins a single tier, in which case only that
 // tier is measured and the bench fails loudly if the dispatcher's active
@@ -17,14 +20,17 @@
 // The bench is also a gate (exit 1), always like-for-like tiers:
 //   - blocked@scalar must not be slower than naive on any shape (both are
 //     baseline-ISA code, so this is the pure algorithmic never-slower);
-//   - every higher tier must not be slower than blocked@scalar on any
-//     shape (vector paths must never lose to the portable ones);
+//   - every higher tier must not be slower than the scalar tier on any
+//     shape, GEMM/conv or pairwise dots (vector paths must never lose to
+//     the portable ones);
 //   - when the avx2 tier is measured, its best speedup over
 //     blocked@scalar across the conv shapes must reach 1.5x. The LeNet
 //     convs are lowering-bound (cin of 1 and 4 give 9- and 36-deep
 //     reductions; im2col/col2im traffic is tier-neutral), so the
 //     microkernel-bound cifar-scale conv is where the vector win must
-//     show — per-shape numbers for all convs land in the JSON either way.
+//     show — per-shape numbers for all convs land in the JSON either way;
+//   - when the avx2 tier is measured, its pairwise dots must reach 1.5x
+//     the scalar tier at 512 x 2178, the population workload's cohort.
 //
 // Results land in BENCH_kernel_throughput.json with the detected CPU
 // features and the tier each measurement ran on.
@@ -38,6 +44,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kernels/cpu_dispatch.h"
@@ -77,6 +84,27 @@ const std::vector<ZooShape>& zoo_shapes() {
   };
   return s;
 }
+
+// Pairwise-dot shapes: the benign cohort x parameter count that the
+// round-angle summary sees on the e2e workloads (bench/e2e/README.md):
+// mlp-trimmed-lazy100k's ~512-update MLP cohorts, lenet-krum-sync's
+// LeNet cohort and mlp-median-async-int8's k = 32 async cycle.
+struct DotShape {
+  std::string name;
+  std::size_t n = 0, d = 0;
+};
+
+const std::vector<DotShape>& dot_shapes() {
+  static const std::vector<DotShape> s = {
+      {"angles/512x2178", 512, 2178},
+      {"angles/62x4794", 62, 4794},
+      {"angles/32x2178", 32, 2178},
+  };
+  return s;
+}
+
+// The shape the avx2 pairwise-dot floor is judged on.
+const char* kDotGateShape = "angles/512x2178";
 
 // Forward + backward FLOPs of one shape (multiply+add counted as 2).
 double shape_flops(const ZooShape& z) {
@@ -218,61 +246,124 @@ std::vector<VariantSpec> variants_of_shape() {
   return v;
 }
 
-// Measures every variant of one shape with best-of-5 timing windows that
-// are INTERLEAVED across the variants: window w of every variant runs
+// Best-of-5 seconds over `reps` passes of each variant, with the timing
+// windows INTERLEAVED across the variants: window w of every variant runs
 // before window w+1 of any of them. The gates below are ratios between
 // variants, and a contended runner's noise bursts last longer than one
 // 50 ms window — interleaving spreads a burst over one window of each
 // variant (where the per-variant min discards it) instead of letting it
 // swallow a single variant's entire measurement and fake a regression.
+// select(v) pins variant v before each of its windows; pass(v) runs one
+// pass of it.
+struct Timing {
+  std::size_t reps = 8;
+  double best_s = 0.0;
+};
+
+template <typename Select, typename Pass>
+std::vector<Timing> time_interleaved(std::size_t n_variants, Select select,
+                                     Pass pass) {
+  std::vector<Timing> t(n_variants);
+  // Per-variant calibration (tiers differ ~10x in speed, so rep counts
+  // must too): warm the scratch, then grow reps until one window reaches
+  // 50 ms. The calibration window doubles as window 0.
+  for (std::size_t v = 0; v < n_variants; ++v) {
+    select(v);
+    pass(v);
+    for (;;) {
+      const auto t0 = Clock::now();
+      for (std::size_t i = 0; i < t[v].reps; ++i) pass(v);
+      t[v].best_s = std::chrono::duration<double>(Clock::now() - t0).count();
+      if (t[v].best_s >= 0.05 || t[v].reps >= (1u << 20)) break;
+      t[v].reps *= 4;
+    }
+  }
+  // Four more windows per variant, interleaved; keep each min.
+  for (int w = 1; w < 5; ++w) {
+    for (std::size_t v = 0; v < n_variants; ++v) {
+      select(v);
+      const auto t0 = Clock::now();
+      for (std::size_t i = 0; i < t[v].reps; ++i) pass(v);
+      const double s =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      t[v].best_s = std::min(t[v].best_s, s);
+    }
+  }
+  return t;
+}
+
+Measurement measured(double flops, const Timing& t) {
+  Measurement m;
+  m.gflops = flops * static_cast<double>(t.reps) / t.best_s / 1e9;
+  m.us_per_pass = t.best_s / static_cast<double>(t.reps) * 1e6;
+  return m;
+}
+
+// Leaves the dispatcher where an unforced process would run: the highest
+// measured tier (the forced tier when pinned).
+void restore_top_tier() {
+  kernels::set_active_tier(tiers_to_measure().back());
+}
+
 void run_shape_all(benchmark::State& state, const ZooShape& z) {
   const std::vector<VariantSpec> variants = variants_of_shape();
   stats::Rng rng(2024);
   ShapeBuffers b = make_buffers(z, rng);
-  const double flops = shape_flops(z);
   for (auto _ : state) {
-    std::vector<std::size_t> reps(variants.size(), 8);
-    std::vector<double> best_s(variants.size(), 0.0);
-    // Per-variant calibration (tiers differ ~10x in speed, so rep counts
-    // must too): warm the scratch workspace, then grow reps until one
-    // window reaches 50 ms. The calibration window doubles as window 0.
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      const auto& ops = kernels::ops_for(variants[v].kind);
-      if (variants[v].set_tier) kernels::set_active_tier(variants[v].tier);
-      one_pass(z, ops, b);
-      for (;;) {
-        const auto t0 = Clock::now();
-        for (std::size_t i = 0; i < reps[v]; ++i) one_pass(z, ops, b);
-        best_s[v] =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        if (best_s[v] >= 0.05 || reps[v] >= (1u << 20)) break;
-        reps[v] *= 4;
-      }
-    }
-    // Four more windows per variant, interleaved; keep each min.
-    for (int w = 1; w < 5; ++w) {
-      for (std::size_t v = 0; v < variants.size(); ++v) {
-        const auto& ops = kernels::ops_for(variants[v].kind);
-        if (variants[v].set_tier) kernels::set_active_tier(variants[v].tier);
-        const auto t0 = Clock::now();
-        for (std::size_t i = 0; i < reps[v]; ++i) one_pass(z, ops, b);
-        const double s =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        best_s[v] = std::min(best_s[v], s);
-      }
-    }
+    const auto t = time_interleaved(
+        variants.size(),
+        [&](std::size_t v) {
+          if (variants[v].set_tier) kernels::set_active_tier(variants[v].tier);
+        },
+        [&](std::size_t v) {
+          one_pass(z, kernels::ops_for(variants[v].kind), b);
+        });
     benchmark::DoNotOptimize(b.out.data());
     benchmark::DoNotOptimize(b.gi.data());
     for (std::size_t v = 0; v < variants.size(); ++v) {
-      Measurement m;
-      m.gflops = flops * static_cast<double>(reps[v]) / best_s[v] / 1e9;
-      m.us_per_pass = best_s[v] / static_cast<double>(reps[v]) * 1e6;
-      results()[{z.name, variants[v].name}] = m;
+      results()[{z.name, variants[v].name}] = measured(shape_flops(z), t[v]);
     }
   }
-  // Leave the dispatcher where an unforced process would run: the highest
-  // measured tier (the forced tier when pinned).
-  kernels::set_active_tier(tiers_to_measure().back());
+  restore_top_tier();
+}
+
+std::string dots_variant_of(kernels::IsaTier tier) {
+  return std::string("pairwise_dots@") + kernels::isa_tier_name(tier);
+}
+
+// Multiply + add per pair and parameter.
+double dot_flops(const DotShape& s) {
+  return 2.0 * static_cast<double>(s.n * (s.n - 1) / 2) *
+         static_cast<double>(s.d);
+}
+
+// kernels::pairwise_dots once per measured tier, on random rows held as
+// separate vectors like a round's update deltas.
+void run_dots_all(benchmark::State& state, const DotShape& s) {
+  const auto& tiers = tiers_to_measure();
+  stats::Rng rng(2025);
+  std::vector<std::vector<float>> rows(s.n, std::vector<float>(s.d));
+  std::vector<const float*> ptrs;
+  for (auto& r : rows) {
+    for (auto& x : r) x = static_cast<float>(rng.normal());
+    ptrs.push_back(r.data());
+  }
+  std::vector<double> out(s.n * (s.n - 1) / 2);
+  for (auto _ : state) {
+    const auto t = time_interleaved(
+        tiers.size(),
+        [&](std::size_t v) { kernels::set_active_tier(tiers[v]); },
+        [&](std::size_t) {
+          kernels::pairwise_dots(ptrs.data(), s.n, s.d, out.data());
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        });
+    for (std::size_t v = 0; v < tiers.size(); ++v) {
+      results()[{s.name, dots_variant_of(tiers[v])}] =
+          measured(dot_flops(s), t[v]);
+    }
+  }
+  restore_top_tier();
 }
 
 void register_all() {
@@ -280,6 +371,13 @@ void register_all() {
     const std::string name = "kernel_throughput/" + z.name;
     benchmark::RegisterBenchmark(
         name.c_str(), [&z](benchmark::State& s) { run_shape_all(s, z); })
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (const auto& d : dot_shapes()) {
+    const std::string name = "kernel_throughput/" + d.name;
+    benchmark::RegisterBenchmark(
+        name.c_str(), [&d](benchmark::State& s) { run_dots_all(s, d); })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);
   }
@@ -321,7 +419,7 @@ void finalize() {
   // for best-of-interleaved-windows; a vector path that actually breaks
   // loses far more than 10% on the microkernel-bound shapes).
   bool scalar_never_slower = true;  // blocked@<lowest measured> vs naive
-  bool tiers_never_slower = true;   // each higher tier vs blocked@scalar
+  bool tiers_never_slower = true;   // each higher tier vs the scalar tier
   double best_conv_avx2_speedup = 0.0;
 
   std::string json;
@@ -371,13 +469,62 @@ void finalize() {
     json += ", \"blocked\": {" + tier_json + "}}";
   }
 
-  // The gate only judges cells that ran: a --benchmark_filter that
+  // Pairwise dot products: one variant per tier, judged against the
+  // scalar tier by the same 10% rule.
+  std::cout << "== Pairwise dot products (round-angle summary) — ms per "
+               "call per ISA tier ==\n";
+  std::cout << std::right << std::setw(16) << "shape";
+  for (const auto t : tiers) std::cout << std::setw(22) << dots_variant_of(t);
+  std::cout << std::setw(12) << "top/scalar" << "\n";
+  double dots_avx2_speedup = 0.0;  // at kDotGateShape; 0 = not measured
+  std::string dots_json;
+  for (const auto& d : dot_shapes()) {
+    const auto base = res.find({d.name, dots_variant_of(tiers.front())});
+    if (base == res.end()) continue;
+    std::cout << std::right << std::setw(16) << d.name << std::fixed
+              << std::setprecision(3);
+    std::string tier_json;
+    double top_gflops = base->second.gflops;
+    for (const auto t : tiers) {
+      const auto it = res.find({d.name, dots_variant_of(t)});
+      if (it == res.end()) continue;
+      std::cout << std::setw(22) << it->second.us_per_pass / 1e3;
+      if (t != tiers.front() &&
+          it->second.gflops < 0.90 * base->second.gflops) {
+        tiers_never_slower = false;
+      }
+      if (have_avx2 && t == kernels::IsaTier::avx2 &&
+          d.name == kDotGateShape) {
+        dots_avx2_speedup = it->second.gflops / base->second.gflops;
+      }
+      top_gflops = it->second.gflops;
+      if (!tier_json.empty()) tier_json += ", ";
+      tier_json += std::string("\"") + kernels::isa_tier_name(t) +
+                   "\": {\"gflops\": " + std::to_string(it->second.gflops) +
+                   ", \"us_per_call\": " +
+                   std::to_string(it->second.us_per_pass) + "}";
+    }
+    std::cout << std::setw(12) << std::setprecision(2)
+              << top_gflops / base->second.gflops << "\n";
+    std::cout.unsetf(std::ios::fixed);
+    if (!dots_json.empty()) dots_json += ",";
+    dots_json += "\n  {\"shape\": \"" + d.name +
+                 "\", \"n\": " + std::to_string(d.n) +
+                 ", \"d\": " + std::to_string(d.d) +
+                 ", \"flops_per_call\": " + std::to_string(dot_flops(d)) +
+                 ", \"pairwise_dots\": {" + tier_json + "}}";
+  }
+
+  // The gates only judge cells that ran: a --benchmark_filter that
   // skipped every conv shape leaves the best speedup at 0.0 and must not
   // fail a run that never measured what the gate is about.
   const bool conv_gate_applies =
       have_avx2 && !forced && best_conv_avx2_speedup > 0.0;
   const bool conv_speedup_ok =
       !conv_gate_applies || best_conv_avx2_speedup >= 1.5;
+  const bool dots_gate_applies =
+      have_avx2 && !forced && dots_avx2_speedup > 0.0;
+  const bool dots_speedup_ok = !dots_gate_applies || dots_avx2_speedup >= 1.5;
   std::cout << "blocked_never_slower="
             << (scalar_never_slower ? "yes" : "NO — BLOCKED REGRESSED")
             << "\n";
@@ -393,6 +540,13 @@ void finalize() {
               << "\n";
     std::cout.unsetf(std::ios::fixed);
   }
+  if (dots_gate_applies) {
+    std::cout << "avx2_angles_speedup=" << std::fixed << std::setprecision(2)
+              << dots_avx2_speedup
+              << (dots_speedup_ok ? " (>= 1.5 ok)" : " — BELOW 1.5x GATE")
+              << "\n";
+    std::cout.unsetf(std::ios::fixed);
+  }
 
   std::string tier_list;
   for (const auto t : tiers) {
@@ -403,8 +557,10 @@ void finalize() {
   std::ofstream out("BENCH_kernel_throughput.json");
   out << "{\"bench\": \"kernel_throughput\",\n"
       << " \"workload\": \"zoo shapes + cifar-scale conv, batch=16, "
-         "forward+backward\",\n"
+         "forward+backward; pairwise dots at the e2e angle cohorts\",\n"
       << " \"cpu_features\": \"" << kernels::cpu_feature_string() << "\",\n"
+      << " \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+      << ",\n"
       << " \"detected_tier\": \""
       << kernels::isa_tier_name(kernels::detected_tier()) << "\",\n"
       << " \"forced_tier\": "
@@ -420,11 +576,17 @@ void finalize() {
       << ",\n"
       << " \"avx2_conv_best_speedup\": "
       << (have_avx2 ? std::to_string(best_conv_avx2_speedup) : "null") << ",\n"
-      << " \"points\": [" << json << "\n]}\n";
+      << " \"avx2_angles_speedup\": "
+      << (dots_avx2_speedup > 0.0 ? std::to_string(dots_avx2_speedup)
+                                  : "null")
+      << ",\n"
+      << " \"points\": [" << json << "\n],\n"
+      << " \"angle_points\": [" << dots_json << "\n]}\n";
   // std::exit skips local destructors; close explicitly or a failing gate
   // truncates the very artifact needed to diagnose it.
   out.close();
-  if (!scalar_never_slower || !tiers_never_slower || !conv_speedup_ok) {
+  if (!scalar_never_slower || !tiers_never_slower || !conv_speedup_ok ||
+      !dots_speedup_ok) {
     std::exit(1);
   }
 }

@@ -52,9 +52,10 @@ experiment:
   cpuid (scalar | sse2 | avx2); the selected tier and detected CPU
   features appear in the run report's "kernels" block. Set
   COLLAPOIS_FORCE_ISA=scalar|sse2|avx2 to force a LOWER tier (forcing
-  an unsupported tier fails at startup). Coordinate defense rules are
-  bit-identical across tiers; GEMM results differ at rounding level
-  between avx2 (FMA) and the other tiers.
+  an unsupported tier fails at startup). Coordinate defense rules and
+  the per-round angle summary are bit-identical across tiers, avx2's
+  FMA included; GEMM results differ at rounding level between avx2
+  (FMA) and the other tiers.
 
 fault injection and hardening (DESIGN.md paragraph 6):
   --dropout F        per-round client dropout probability [0, 1]   [0]

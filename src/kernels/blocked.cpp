@@ -132,7 +132,8 @@ constexpr TierOps kScalarTier{TierGemm<ScalarMicro4x8>::gemm,
                               dot_abt_accum,
                               axpy_atb_accum,
                               base_im2col,
-                              base_col2im_add};
+                              base_col2im_add,
+                              base_pairwise_dots};
 
 #if defined(__SSE2__)
 constexpr TierOps kSse2Tier{TierGemm<Sse2Micro4x8>::gemm,
@@ -142,8 +143,11 @@ constexpr TierOps kSse2Tier{TierGemm<Sse2Micro4x8>::gemm,
                             dot_abt_accum,
                             axpy_atb_accum,
                             base_im2col,
-                            base_col2im_add};
+                            base_col2im_add,
+                            base_pairwise_dots};
 #endif
+
+}  // namespace
 
 const TierOps& tier_ops() {
   switch (active_tier()) {
@@ -160,6 +164,8 @@ const TierOps& tier_ops() {
   }
   return kScalarTier;
 }
+
+namespace {
 
 // Below this many multiply-adds, panel packing costs more than it saves
 // (a [16 x 32] x [32 x 2] head GEMM wastes 3/4 of every NR-wide tile on

@@ -14,9 +14,13 @@
 //            differs.
 //   avx2   — 256-bit intrinsics with FMA. The defense column tiles stay
 //            exactly equal to scalar (per-lane identical operation
-//            order); the GEMM microkernel uses fused multiply-add (one
-//            rounding instead of two), so GEMM results agree with the
-//            other tiers only to the cross-set elementwise tolerance.
+//            order), and so does the round-angle pairwise-dot tile
+//            although it uses FMA: its products of widened floats are
+//            exact in double, so one rounding equals the other tiers'
+//            two. The GEMM microkernel's fused multiply-add on float
+//            products does round differently, so GEMM results agree
+//            with the other tiers only to the cross-set elementwise
+//            tolerance.
 //
 // Selection happens once, on first use: the best tier the CPU supports,
 // unless the COLLAPOIS_FORCE_ISA environment variable names a LOWER tier

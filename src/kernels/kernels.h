@@ -142,6 +142,20 @@ void weighted_accumulate(double* acc, double w, const float* v,
 void scaled_round(const double* acc, double inv_scale, float* out,
                   std::size_t n);
 
+// The dot products of every pair i < j of n float rows of length d, in
+// the packed upper triangle: out[i * (2n - i - 1) / 2 + (j - i - 1)] =
+// sum over p = 0..d-1 of double(rows[i][p]) * double(rows[j][p]), summed
+// in p order from 0.0 — exactly as stats::dot sums one pair. `out` holds
+// n(n-1)/2 doubles. Dispatched on the ISA tier (cpu_dispatch.h), never on
+// the kernel set, and bit-identical on every tier: a product of two
+// widened floats has at most 48 significant bits and lies well inside
+// double's normal range, so it is exact, and the avx2 tier's fused
+// multiply-add rounds the same sum as the other tiers' multiply then
+// add. Single-threaded; scratch is one transposed panel of at most 8
+// rows, never a copy of the n rows.
+void pairwise_dots(const float* const* rows, std::size_t n, std::size_t d,
+                   double* out);
+
 // ReLU forward: clamp x to max(x, 0) in place and record bit i of `mask`
 // as x[i] > 0 (packed, 64 activations per word; every touched word is
 // fully written). SIMD compare+movemask on x86, scalar elsewhere —

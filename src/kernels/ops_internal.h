@@ -37,14 +37,17 @@ void blocked_conv2d_backward(const Conv2dShape& s, const float* in,
                              const float* weights, const float* go, float* gw,
                              float* gb, float* gi);
 
-// One ISA tier's GEMM entry points behind the blocked set's runtime
-// dispatch (cpu_dispatch.h). Only the GEMMs are tier-specific — the conv
+// One ISA tier's entry points behind the runtime dispatch
+// (cpu_dispatch.h). The blocked set's GEMMs are tier-specific — the conv
 // ops lower onto them through the dispatching blocked_* wrappers. The
-// first three are the packed/blocked drivers; the last three are the
+// first three are the packed/blocked drivers; the next three are the
 // shape-routed streaming paths (shallow reductions over wide C, long dot
 // products, short axpy stacks) that skip panel packing entirely. The conv
 // GEMMs are dominated by the streaming shapes, so a tier that only
 // accelerated the microkernel would leave conv throughput untouched.
+// The lowering copies and the pairwise dot products are tier-specific
+// too, but bit-identical on every tier, the avx2 FMA included (see
+// pairwise_dots below).
 struct TierOps {
   void (*gemm)(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, const float* row_bias);
@@ -76,7 +79,21 @@ struct TierOps {
                  std::size_t ldcol);
   void (*col2im_add)(const Conv2dShape& s, const float* col, std::size_t ldcol,
                      float* grad_image);
+  // kernels::pairwise_dots (kernels.h). Not a blocked-set op: its public
+  // entry dispatches on the tier alone.
+  void (*pairwise_dots)(const float* const* rows, std::size_t n,
+                        std::size_t d, double* out);
 };
+
+// The active tier's ops (blocked.cpp): scalar, sse2 or avx2 per
+// active_tier().
+const TierOps& tier_ops();
+
+// vecmath.cpp — the scalar and sse2 tiers' pairwise_dots: 4-lane
+// transposed float panels, one double accumulator per pair. The
+// reference the avx2 tile is tested against.
+void base_pairwise_dots(const float* const* rows, std::size_t n,
+                        std::size_t d, double* out);
 
 // simd_avx2.cpp — the 8x8 AVX2/FMA microkernel tier, built as its own
 // translation unit with -mavx2 -mfma (the rest of the tree stays

@@ -32,6 +32,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "kernels/conv_lower.h"
 #include "kernels/gemm_driver.h"
@@ -310,6 +311,71 @@ void avx2_axpy_atb(const float* a, const float* b, float* c, std::size_t k,
   }
 }
 
+// --- pairwise dot products ----------------------------------------------
+//
+// kernels::pairwise_dots on this tier: register tiles of 4 rows x 8 panel
+// lanes. Rows j0 .. j0+7 are widened to double once, into one transposed
+// panel (element p of lane l at [p*8 + l], 8*d doubles, the only
+// scratch); every earlier 4-row block then sweeps it with 8 ymm
+// accumulators, two per row. Each pair is still one chain summed in
+// order p = 0..d-1 from 0.0, and each term is the product of two widened
+// floats: at most 48 significant bits, magnitude in [2^-298, 2^256), so
+// double holds it exactly. The explicit fmadd therefore rounds the same
+// real number s + x*y as the reference tier's s += x * y, and every
+// output is bit-identical to base_pairwise_dots (vecmath.cpp). Whether
+// or not the compiler contracts other multiply-adds in this TU, this
+// argument is what makes the tile exact.
+void avx2_pairwise_dots(const float* const* rows, std::size_t n,
+                        std::size_t d, double* out) {
+  constexpr std::size_t R = 4;
+  constexpr std::size_t L = 8;
+  std::vector<double> panel(L * d);
+  for (std::size_t j0 = 1; j0 < n; j0 += L) {
+    for (std::size_t l = 0; l < L; ++l) {
+      const std::size_t j = j0 + l;
+      double* lane = panel.data() + l;
+      for (std::size_t p = 0; p < d; ++p) {
+        lane[p * L] = j < n ? static_cast<double>(rows[j][p]) : 0.0;
+      }
+    }
+    const std::size_t i_end = std::min(j0 + L - 1, n - 1);
+    for (std::size_t i0 = 0; i0 < i_end; i0 += R) {
+      // A block that runs past i_end repeats its last row; the repeats
+      // are swept but never emitted.
+      const float* a[R];
+      for (std::size_t r = 0; r < R; ++r) {
+        a[r] = rows[std::min(i0 + r, i_end - 1)];
+      }
+      __m256d lo[R];
+      __m256d hi[R];
+      for (std::size_t r = 0; r < R; ++r) {
+        lo[r] = _mm256_setzero_pd();
+        hi[r] = _mm256_setzero_pd();
+      }
+      const double* bp = panel.data();
+      for (std::size_t p = 0; p < d; ++p, bp += L) {
+        const __m256d b0 = _mm256_loadu_pd(bp);
+        const __m256d b1 = _mm256_loadu_pd(bp + 4);
+        for (std::size_t r = 0; r < R; ++r) {
+          const __m256d x = _mm256_set1_pd(static_cast<double>(a[r][p]));
+          lo[r] = _mm256_fmadd_pd(x, b0, lo[r]);
+          hi[r] = _mm256_fmadd_pd(x, b1, hi[r]);
+        }
+      }
+      for (std::size_t r = 0; r < R && i0 + r < i_end; ++r) {
+        const std::size_t i = i0 + r;
+        alignas(32) double s[L];
+        _mm256_store_pd(s, lo[r]);
+        _mm256_store_pd(s + 4, hi[r]);
+        for (std::size_t l = 0; l < L; ++l) {
+          const std::size_t j = j0 + l;
+          if (j > i && j < n) out[i * (2 * n - i - 1) / 2 + (j - i - 1)] = s[l];
+        }
+      }
+    }
+  }
+}
+
 // This TU's instantiation of the shared conv lowering auto-vectorizes
 // its span loops at AVX2 width; output is bit-identical to the baseline
 // instantiation (copies and pure adds only — see conv_lower.h).
@@ -329,7 +395,8 @@ constexpr TierOps kAvx2Tier{TierGemm<Avx2Micro8x8>::gemm,
                             avx2_dot_abt,
                             avx2_axpy_atb,
                             avx2_im2col,
-                            avx2_col2im_add};
+                            avx2_col2im_add,
+                            avx2_pairwise_dots};
 
 }  // namespace
 

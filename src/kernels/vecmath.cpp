@@ -1,10 +1,13 @@
 // Flat-vector aggregation math behind tensor/vecops.h. These are not
 // kernel-set-dispatched — aggregation numerics are identical under both
 // --kernels modes — but they live in this library so the hot loops
-// compile under the kernels' optimization flags.
-#include "kernels/kernels.h"
-
+// compile under the kernels' optimization flags. pairwise_dots alone
+// dispatches, on the ISA tier, to a tile that rounds like the reference
+// loop below.
 #include <algorithm>
+#include <vector>
+
+#include "kernels/ops_internal.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -29,6 +32,65 @@ void scaled_round(const double* acc, double inv_scale, float* out,
     out[i] = static_cast<float>(acc[i] * inv_scale);
   }
 }
+
+void pairwise_dots(const float* const* rows, std::size_t n, std::size_t d,
+                   double* out) {
+  detail::tier_ops().pairwise_dots(rows, n, d, out);
+}
+
+namespace detail {
+
+namespace {
+
+// Two pair sums per register. GCC's generic vectors lower to SSE2
+// mulpd/addpd on x86-64 and to scalar code elsewhere, elementwise either
+// way. Spelled out because -O3 leaves the equivalent plain lane loop
+// scalar, ~1.3x slower at 512 x 2178 than its -O2 build.
+using Pair = double __attribute__((vector_size(16)));
+
+}  // namespace
+
+void base_pairwise_dots(const float* const* rows, std::size_t n,
+                        std::size_t d, double* out) {
+  // Rows j0 .. j0+3 are packed transposed into one panel, element p of
+  // lane l at [p*4 + l], so one contiguous load feeds 4 pairs; every
+  // earlier row then sweeps it. Lanes past the last row stay zero and are
+  // never emitted. 4 lanes measured fastest (2 and 8 were slower at the
+  // MLP head's parameter count).
+  constexpr std::size_t L = 4;
+  std::vector<float> panel(L * d);
+  for (std::size_t j0 = 1; j0 < n; j0 += L) {
+    for (std::size_t l = 0; l < L; ++l) {
+      const std::size_t j = j0 + l;
+      for (std::size_t p = 0; p < d; ++p) {
+        panel[p * L + l] = j < n ? rows[j][p] : 0.0f;
+      }
+    }
+    const std::size_t i_end = std::min(j0 + L - 1, n - 1);
+    for (std::size_t i = 0; i < i_end; ++i) {
+      const float* a = rows[i];
+      const float* b = panel.data();
+      // One independent accumulator per pair, each a separate multiply
+      // and add in order p = 0..d-1. The lanes run across pairs, never
+      // across p, so vectorizing them reorders nothing.
+      Pair lo = {0.0, 0.0};
+      Pair hi = {0.0, 0.0};
+      for (std::size_t p = 0; p < d; ++p, b += L) {
+        const double x = a[p];
+        const Pair xx = {x, x};
+        lo += xx * Pair{b[0], b[1]};
+        hi += xx * Pair{b[2], b[3]};
+      }
+      const double s[L] = {lo[0], lo[1], hi[0], hi[1]};
+      for (std::size_t l = 0; l < L; ++l) {
+        const std::size_t j = j0 + l;
+        if (j > i && j < n) out[i * (2 * n - i - 1) / 2 + (j - i - 1)] = s[l];
+      }
+    }
+  }
+}
+
+}  // namespace detail
 
 void relu_forward_mask(float* x, std::size_t n, std::uint64_t* mask) {
   std::size_t i = 0;

@@ -191,6 +191,13 @@ void validate(const ExperimentConfig& cfg, const RunOptions& options) {
   } else if (expected > 1.0) {
     expected_cohort = static_cast<std::size_t>(expected);
   }
+  // Pairwise-distance rules (Krum, Multi-Krum, FLARE) declare that they
+  // need the whole cohort. Ask the rule itself, as ShardedAggregator
+  // does, so the refusal comes before any data is built.
+  const bool cohort_only_sharded =
+      !metafed && cfg.shards > 1 &&
+      defense::make_defense(cfg.defense, cfg.defense_params, stats::Rng())
+              ->shard_capability() == fl::ShardCapability::cohort_only;
   // MetaFed has no server round loop and no update channel, so none of
   // the planes built on them applies to it; only the DP-style defenses
   // have a MetaFed analogue (fl::MetaFedConfig).
@@ -215,6 +222,10 @@ void validate(const ExperimentConfig& cfg, const RunOptions& options) {
       {metafed && (cfg.shards > 1 || cfg.lazy_clients),
        "--shards/--lazy-clients scale the server's round loop and do not "
        "apply to --algorithm metafed"},
+      {cohort_only_sharded,
+       std::string("--defense ") + defense::defense_name(cfg.defense) +
+           " compares updates across the whole cohort and cannot be split "
+           "over --shards; run it with --shards 1"},
       {cfg.lazy_clients && cfg.eval_max_clients == 0,
        "--lazy-clients requires --eval-max-clients > 0 — evaluating every "
        "client would materialize the whole registered population"},
@@ -504,11 +515,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     auto aggregator = defense::make_defense(cfg.defense, cfg.defense_params,
                                             rng.fork());
     if (cfg.shards > 1) {
-      // The aggregation tree root (agg/sharded_aggregator.h). Throws here
-      // — before any round runs — when the defense is cohort_only. The
-      // shard fault model (if any) rides inside the tree: failover keeps
-      // degraded rounds bit-identical, so nothing above this line knows
-      // faults exist except the telemetry.
+      // The aggregation tree root (agg/sharded_aggregator.h). validate()
+      // has already refused cohort_only defenses; the constructor's own
+      // check is for library callers. The shard fault model (if any)
+      // rides inside the tree: failover keeps degraded rounds
+      // bit-identical, so nothing above this line knows faults exist
+      // except the telemetry.
       std::shared_ptr<agg::ShardFaultModel> shard_fault_model;
       if (cfg.shard_faults.any()) {
         shard_fault_model =

@@ -148,15 +148,6 @@ void pairwise_sq_distances_gram(const float* rows, std::size_t n,
   });
 }
 
-namespace {
-
-// Rows per transposed panel of the pairwise-angle kernel: the number of
-// pair sums that advance side by side (4 measured fastest; 2 and 8 were
-// slower at the MLP head's parameter count).
-constexpr std::size_t kAngleLanes = 4;
-
-}  // namespace
-
 std::vector<double> pairwise_angles(
     std::span<const std::span<const float>> rows) {
   const std::size_t n = rows.size();
@@ -167,48 +158,26 @@ std::vector<double> pairwise_angles(
 
   // Each row's norm once, by the same l2_norm angle_between calls per pair.
   std::vector<double> norms(n);
-  for (std::size_t i = 0; i < n; ++i) norms[i] = l2_norm(rows[i]);
+  std::vector<const float*> ptrs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    norms[i] = l2_norm(rows[i]);
+    ptrs[i] = rows[i].data();
+  }
 
-  // Rows j0 .. j0+L-1 are packed transposed into one panel, element p of
-  // lane l at [p*L + l], so one contiguous load feeds L pairs; every
-  // earlier row then sweeps it. Only one panel (L*d floats) exists at a
-  // time: the rows themselves are never copied. Lanes past the last row
-  // stay zero and are never emitted.
-  constexpr std::size_t L = kAngleLanes;
-  std::vector<float> panel(L * d);
+  // The tier kernel sums every pair exactly as dot() does (kernels.h),
+  // reading the rows in place; the tail below overwrites each dot product
+  // with angle_between's zero-norm / clamp / acos on the same operands.
   out.resize(n * (n - 1) / 2);
-  for (std::size_t j0 = 1; j0 < n; j0 += L) {
-    for (std::size_t l = 0; l < L; ++l) {
-      const std::size_t j = j0 + l;
-      for (std::size_t p = 0; p < d; ++p) {
-        panel[p * L + l] = j < n ? rows[j][p] : 0.0f;
-      }
-    }
-    const std::size_t i_end = std::min(j0 + L - 1, n - 1);
-    for (std::size_t i = 0; i < i_end; ++i) {
-      const float* a = rows[i].data();
-      // One independent accumulator per pair, each summed exactly as dot()
-      // sums it: a separate multiply and add, in order p = 0..d-1. The
-      // lanes run across pairs, never across p, so vectorizing them
-      // reorders nothing.
-      double s[L] = {};
-      for (std::size_t p = 0; p < d; ++p) {
-        const double x = a[p];
-        for (std::size_t l = 0; l < L; ++l) {
-          s[l] += x * static_cast<double>(panel[p * L + l]);
-        }
-      }
-      for (std::size_t l = 0; l < L; ++l) {
-        const std::size_t j = j0 + l;
-        if (j <= i || j >= n) continue;
-        // angle_between's tail on the same operands.
-        const double na = norms[i];
-        const double nb = norms[j];
-        const double c = (na <= 0.0 || nb <= 0.0)
-                             ? 0.0
-                             : std::clamp(s[l] / (na * nb), -1.0, 1.0);
-        out[i * (2 * n - i - 1) / 2 + (j - i - 1)] = std::acos(c);
-      }
+  kernels::pairwise_dots(ptrs.data(), n, d, out.data());
+  std::size_t k = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j, ++k) {
+      const double na = norms[i];
+      const double nb = norms[j];
+      const double c = (na <= 0.0 || nb <= 0.0)
+                           ? 0.0
+                           : std::clamp(out[k] / (na * nb), -1.0, 1.0);
+      out[k] = std::acos(c);
     }
   }
   return out;

@@ -23,11 +23,11 @@
 #include "fl/state.h"
 #include "kernels/cpu_dispatch.h"
 #include "net/codec.h"
-#include "net/codec_tiles.h"
 #include "net/envelope.h"
 #include "net/network_model.h"
 #include "sim/checkpoint.h"
 #include "sim/runner.h"
+#include "tier_sweep.h"
 
 namespace collapois {
 namespace {
@@ -297,23 +297,6 @@ TEST(CodecRoundTrip, TopkKeepsTheLargestMagnitudesAndZeroesTheRest) {
 }
 
 // --- tier dispatch ------------------------------------------------------
-
-std::vector<kernels::IsaTier> available_tiers() {
-  std::vector<kernels::IsaTier> tiers{kernels::IsaTier::scalar};
-  if (kernels::detected_tier() >= kernels::IsaTier::sse2) {
-    tiers.push_back(kernels::IsaTier::sse2);
-  }
-  if (kernels::detected_tier() >= kernels::IsaTier::avx2 &&
-      net::detail::avx2_codec_compiled()) {
-    tiers.push_back(kernels::IsaTier::avx2);
-  }
-  return tiers;
-}
-
-struct TierGuard {
-  kernels::IsaTier entry = kernels::active_tier();
-  ~TierGuard() { kernels::set_active_tier(entry); }
-};
 
 // The wire-format contract: encoded payload bytes are BIT-IDENTICAL on
 // every dispatch tier (stronger than the GEMM tolerance contract), so

@@ -23,6 +23,7 @@
 #include "runtime/thread_pool.h"
 #include "sim/runner.h"
 #include "stats/rng.h"
+#include "tier_sweep.h"
 
 namespace collapois::defense {
 namespace {
@@ -196,22 +197,6 @@ TEST(DefenseKernelProperty, CoordinateOpsBitIdenticalToNaive) {
 }
 
 // --- runtime ISA dispatch: every tier must honor the same contracts ----
-
-std::vector<kernels::IsaTier> available_tiers() {
-  std::vector<kernels::IsaTier> tiers{kernels::IsaTier::scalar};
-  if (kernels::detected_tier() >= kernels::IsaTier::sse2) {
-    tiers.push_back(kernels::IsaTier::sse2);
-  }
-  if (kernels::detected_tier() >= kernels::IsaTier::avx2) {
-    tiers.push_back(kernels::IsaTier::avx2);
-  }
-  return tiers;
-}
-
-struct TierGuard {
-  kernels::IsaTier entry = kernels::active_tier();
-  ~TierGuard() { kernels::set_active_tier(entry); }
-};
 
 // The exact-equality contract holds on EVERY tier, not just the default:
 // the SIMD column tiles keep per-lane op order identical to the naive

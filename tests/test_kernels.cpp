@@ -19,30 +19,10 @@
 #include "runtime/thread_pool.h"
 #include "stats/rng.h"
 #include "tensor/vecops.h"
+#include "tier_sweep.h"
 
 namespace collapois {
 namespace {
-
-// Every ISA tier the build host can execute, scalar first. The property
-// sweeps run once per entry; on a scalar-only host that is still a valid
-// (if smaller) sweep — the CI dispatch matrix covers the rest.
-std::vector<kernels::IsaTier> available_tiers() {
-  std::vector<kernels::IsaTier> tiers{kernels::IsaTier::scalar};
-  if (kernels::detected_tier() >= kernels::IsaTier::sse2) {
-    tiers.push_back(kernels::IsaTier::sse2);
-  }
-  if (kernels::detected_tier() >= kernels::IsaTier::avx2) {
-    tiers.push_back(kernels::IsaTier::avx2);
-  }
-  return tiers;
-}
-
-// Restores the entry tier on scope exit so a failing sweep cannot leak a
-// forced tier into later tests.
-struct TierGuard {
-  kernels::IsaTier entry = kernels::active_tier();
-  ~TierGuard() { kernels::set_active_tier(entry); }
-};
 
 std::vector<float> random_vec(stats::Rng& rng, std::size_t n) {
   std::vector<float> v(n);

@@ -201,9 +201,7 @@ TEST(SimIntegration, MetaFedRejectsAggregationDefenses) {
 // Every combination of the simulator's planes, at tiny scale, either runs
 // with cohort == accepted + dropped + rejected on every round, or is
 // refused before round 0 ends with a message that names a --flag.
-// sim::validate refuses exactly the cells run_experiment refuses, except
-// Krum under --shards 2, which ShardedAggregator refuses from the
-// defense's declared capability.
+// sim::validate refuses exactly the cells run_experiment refuses.
 TEST(ConfigSweep, EveryKnobCombinationRunsOrIsRejectedBeforeRoundZero) {
   using defense::DefenseKind;
   const AlgorithmKind algorithms[] = {AlgorithmKind::fedavg,
@@ -295,10 +293,7 @@ TEST(ConfigSweep, EveryKnobCombinationRunsOrIsRejectedBeforeRoundZero) {
       messages.insert(what);
       EXPECT_NE(what.find("--"), std::string::npos)
           << describe() << ": " << what;
-      const bool capability_rejects =
-          cfg.defense == DefenseKind::krum && cfg.shards > 1;
-      EXPECT_TRUE(validate_rejects || capability_rejects)
-          << describe() << ": " << what;
+      EXPECT_TRUE(validate_rejects) << describe() << ": " << what;
       // Before round 0 ends: with a crash scheduled at the end of round 0
       // the config still fails the same way instead of crashing.
       RunOptions crash;

@@ -7,8 +7,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "kernels/cpu_dispatch.h"
 #include "stats/geometry.h"
 #include "stats/rng.h"
+#include "tier_sweep.h"
 
 namespace collapois::stats {
 namespace {
@@ -88,12 +90,20 @@ TEST(Geometry, PairwiseAnglesCountAndValues) {
   EXPECT_NEAR(angles[1], 0.0, 1e-6);         // v0 vs v2
   EXPECT_NEAR(angles[2], M_PI / 2.0, 1e-6);  // v1 vs v2
 
-  // Bitwise equal to the per-pair angle_between on random rows, with n on
-  // both sides of the kernel's panel width and duplicate, anti-parallel
-  // and zero rows mixed in.
+  // Bitwise equal to the per-pair angle_between on random rows, on every
+  // ISA tier the host runs (the tier picks kernels::pairwise_dots' tile).
+  // n covers every tile tail (rows mod 4, lanes mod 8) and cohorts below
+  // one panel; d covers the MLP head and LeNet-small. Rows 2-4 are
+  // duplicate, anti-parallel and zero rows, and rows 5-7 put entries at
+  // float's extremes, +-2^127 and +-2^-149, whose products (2^254 down to
+  // 2^-298) double still holds exactly: a tile that rounded a product,
+  // e.g. by multiplying in float before widening, fails here.
+  const float huge = std::ldexp(1.0f, 127);
+  const float tiny = std::ldexp(1.0f, -149);
+  TierGuard guard;
   stats::Rng rng(13);
-  for (std::size_t n : {2, 3, 4, 5, 9, 64}) {
-    for (std::size_t d : {1, 7, 2178}) {
+  for (std::size_t n : {2, 3, 4, 5, 8, 9, 13, 33, 64, 100}) {
+    for (std::size_t d : {1, 7, 2178, 4794}) {
       std::vector<std::vector<float>> rows(n, std::vector<float>(d));
       for (auto& r : rows) {
         for (auto& v : r) v = static_cast<float>(rng.normal(0.0, 1.0));
@@ -102,14 +112,32 @@ TEST(Geometry, PairwiseAnglesCountAndValues) {
       if (n > 3) {
         for (std::size_t p = 0; p < d; ++p) rows[3][p] = -rows[1][p];
       }
-      if (n > 4) std::fill(rows[n - 2].begin(), rows[n - 2].end(), 0.0f);
-      const auto got = pairwise_angles(rows);
-      ASSERT_EQ(got.size(), n * (n - 1) / 2);
-      std::size_t k = 0;
+      if (n > 4) std::fill(rows[4].begin(), rows[4].end(), 0.0f);
+      if (n > 7) {
+        for (std::size_t p = 0; p < d; ++p) {
+          const float sign = rng.uniform() < 0.5 ? -1.0f : 1.0f;
+          if (p % 3 == 0) rows[5][p] = sign * huge;
+          rows[6][p] = -sign * tiny;
+          rows[7][p] = sign * (p % 2 == 0 ? tiny : huge);
+        }
+      }
+      std::vector<double> want;
       for (std::size_t i = 0; i + 1 < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j, ++k) {
-          EXPECT_EQ(got[k], angle_between(rows[i], rows[j]))
-              << "n=" << n << " d=" << d << " pair (" << i << ", " << j << ")";
+        for (std::size_t j = i + 1; j < n; ++j) {
+          want.push_back(angle_between(rows[i], rows[j]));
+        }
+      }
+      for (const auto tier : available_tiers()) {
+        kernels::set_active_tier(tier);
+        const auto got = pairwise_angles(rows);
+        ASSERT_EQ(got.size(), n * (n - 1) / 2);
+        std::size_t k = 0;
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+          for (std::size_t j = i + 1; j < n; ++j, ++k) {
+            EXPECT_EQ(got[k], want[k])
+                << kernels::isa_tier_name(tier) << " n=" << n << " d=" << d
+                << " pair (" << i << ", " << j << ")";
+          }
         }
       }
     }
