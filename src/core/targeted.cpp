@@ -64,7 +64,7 @@ data::Dataset reweight_to_distribution(
   // Index auxiliary examples by label.
   std::vector<std::vector<std::size_t>> by_label(auxiliary.num_classes());
   for (std::size_t i = 0; i < auxiliary.size(); ++i) {
-    by_label[static_cast<std::size_t>(auxiliary[i].label)].push_back(i);
+    by_label[static_cast<std::size_t>(auxiliary.label(i))].push_back(i);
   }
   // Only classes the attacker actually holds can be sampled.
   std::vector<double> weights(target_histogram.begin(),
@@ -79,13 +79,14 @@ data::Dataset reweight_to_distribution(
         "target distribution");
   }
 
-  data::Dataset out(auxiliary.num_classes());
+  data::Dataset out(auxiliary.num_classes(), auxiliary.example_shape());
   out.reserve(output_size);
   for (std::size_t i = 0; i < output_size; ++i) {
     const std::size_t cls = rng.categorical(weights);
     const auto& pool = by_label[cls];
-    out.add(auxiliary[pool[static_cast<std::size_t>(
-        rng.uniform_int(pool.size()))]]);
+    const std::size_t pick =
+        pool[static_cast<std::size_t>(rng.uniform_int(pool.size()))];
+    out.add_row(auxiliary.row(pick), auxiliary.label(pick));
   }
   return out;
 }

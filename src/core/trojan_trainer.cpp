@@ -1,6 +1,7 @@
 #include "core/trojan_trainer.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "trojan/poison.h"
 
@@ -27,13 +28,20 @@ data::Dataset pool_auxiliary_data(
   if (validation_sets.empty()) {
     throw std::invalid_argument("pool_auxiliary_data: no sets");
   }
-  data::Dataset pooled;
+  // Size the pool once: every part's rows, in the first known shape.
+  std::size_t rows = 0;
+  std::vector<std::size_t> shape;
   for (const data::Dataset* d : validation_sets) {
     if (d == nullptr) {
       throw std::invalid_argument("pool_auxiliary_data: null set");
     }
-    pooled.append(*d);
+    rows += d->size();
+    if (shape.empty()) shape = d->example_shape();
   }
+  data::Dataset pooled(validation_sets.front()->num_classes(),
+                       std::move(shape));
+  pooled.reserve(rows);
+  for (const data::Dataset* d : validation_sets) pooled.append(*d);
   return pooled;
 }
 

@@ -42,10 +42,11 @@ std::vector<Dataset> partition_dirichlet(const Dataset& d,
   // Group example indices by label.
   std::vector<std::vector<std::size_t>> by_label(d.num_classes());
   for (std::size_t i = 0; i < d.size(); ++i) {
-    by_label[static_cast<std::size_t>(d[i].label)].push_back(i);
+    by_label[static_cast<std::size_t>(d.label(i))].push_back(i);
   }
 
-  std::vector<Dataset> out(n_clients, Dataset(d.num_classes()));
+  std::vector<Dataset> out(n_clients,
+                           Dataset(d.num_classes(), d.example_shape()));
   for (auto& indices : by_label) {
     rng.shuffle(indices);
     const std::vector<double> shares = rng.dirichlet(alpha, n_clients);
@@ -60,7 +61,7 @@ std::vector<Dataset> partition_dirichlet(const Dataset& d,
                                         cumulative *
                                         static_cast<double>(indices.size()));
       for (; cursor < end && cursor < indices.size(); ++cursor) {
-        out[c].add(d[indices[cursor]]);
+        out[c].add_row(d.row(indices[cursor]), d.label(indices[cursor]));
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "tensor/linalg.h"
@@ -60,7 +61,14 @@ Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
       static_cast<std::size_t>(label) >= config_.num_classes) {
     throw std::invalid_argument("SyntheticImageGenerator: label out of range");
   }
-  const auto& proto = prototypes_[static_cast<std::size_t>(label)];
+  Example e{Tensor({1, config_.height, config_.width}), label};
+  sample_into(static_cast<std::size_t>(label), rng, e.x.data());
+  return e;
+}
+
+void SyntheticImageGenerator::sample_into(std::size_t label, stats::Rng& rng,
+                                          std::span<float> out) const {
+  const std::vector<float>& proto = prototypes_[label].storage();
   const std::size_t h = config_.height;
   const std::size_t w = config_.width;
 
@@ -74,9 +82,6 @@ Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
          config_.max_shift;
   }
 
-  Example e;
-  e.label = label;
-  e.x = Tensor({1, h, w});
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
       const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y) + dy;
@@ -84,22 +89,13 @@ Example SyntheticImageGenerator::sample(int label, stats::Rng& rng) const {
       float v = 0.0f;
       if (sy >= 0 && sy < static_cast<std::ptrdiff_t>(h) && sx >= 0 &&
           sx < static_cast<std::ptrdiff_t>(w)) {
-        v = proto.at(static_cast<std::size_t>(sy),
-                     static_cast<std::size_t>(sx));
+        v = proto[static_cast<std::size_t>(sy) * w +
+                  static_cast<std::size_t>(sx)];
       }
       v += static_cast<float>(rng.normal(0.0, config_.noise_std));
-      e.x.at(0, y, x) = std::clamp(v, 0.0f, 1.0f);
+      out[y * w + x] = std::clamp(v, 0.0f, 1.0f);
     }
   }
-  return e;
-}
-
-Dataset SyntheticImageGenerator::generate_class(int label, std::size_t count,
-                                                stats::Rng& rng) const {
-  Dataset d(config_.num_classes);
-  d.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) d.add(sample(label, rng));
-  return d;
 }
 
 Dataset SyntheticImageGenerator::generate(
@@ -108,10 +104,12 @@ Dataset SyntheticImageGenerator::generate(
     throw std::invalid_argument(
         "SyntheticImageGenerator::generate: counts size mismatch");
   }
-  Dataset d(config_.num_classes);
+  Dataset d(config_.num_classes, {1, config_.height, config_.width});
+  d.reserve(std::accumulate(class_counts.begin(), class_counts.end(),
+                            std::size_t{0}));
   for (std::size_t cls = 0; cls < class_counts.size(); ++cls) {
     for (std::size_t i = 0; i < class_counts[cls]; ++i) {
-      d.add(sample(static_cast<int>(cls), rng));
+      sample_into(cls, rng, d.emplace_row(static_cast<int>(cls)));
     }
   }
   return d;

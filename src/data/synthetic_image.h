@@ -42,14 +42,16 @@ class SyntheticImageGenerator {
   // One sample of the given class, shape [1, H, W] (CHW with one channel).
   Example sample(int label, stats::Rng& rng) const;
 
-  // `count` samples of class `label`.
-  Dataset generate_class(int label, std::size_t count, stats::Rng& rng) const;
 
   // Dataset with the given per-class counts (size must be num_classes).
   Dataset generate(std::span<const std::size_t> class_counts,
                    stats::Rng& rng) const;
 
  private:
+  // Writes one sample of class `label` into `out` (H x W floats).
+  void sample_into(std::size_t label, stats::Rng& rng,
+                   std::span<float> out) const;
+
   SyntheticImageConfig config_;
   std::vector<Tensor> prototypes_;
 };

@@ -1,6 +1,7 @@
 #include "data/synthetic_text.h"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace collapois::data {
@@ -37,21 +38,17 @@ Example SyntheticTextGenerator::sample(int label, stats::Rng& rng) const {
       static_cast<std::size_t>(label) >= config_.num_classes) {
     throw std::invalid_argument("SyntheticTextGenerator: label out of range");
   }
-  Example e;
-  e.label = label;
-  e.x = means_[static_cast<std::size_t>(label)];
-  for (auto& v : e.x.storage()) {
-    v = static_cast<float>(v + rng.normal(0.0, config_.noise_std));
-  }
+  Example e{Tensor({config_.embedding_dim}), label};
+  sample_into(static_cast<std::size_t>(label), rng, e.x.data());
   return e;
 }
 
-Dataset SyntheticTextGenerator::generate_class(int label, std::size_t count,
-                                               stats::Rng& rng) const {
-  Dataset d(config_.num_classes);
-  d.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) d.add(sample(label, rng));
-  return d;
+void SyntheticTextGenerator::sample_into(std::size_t label, stats::Rng& rng,
+                                         std::span<float> out) const {
+  const std::vector<float>& mean = means_[label].storage();
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = static_cast<float>(mean[j] + rng.normal(0.0, config_.noise_std));
+  }
 }
 
 Dataset SyntheticTextGenerator::generate(
@@ -60,10 +57,12 @@ Dataset SyntheticTextGenerator::generate(
     throw std::invalid_argument(
         "SyntheticTextGenerator::generate: counts size mismatch");
   }
-  Dataset d(config_.num_classes);
+  Dataset d(config_.num_classes, {config_.embedding_dim});
+  d.reserve(std::accumulate(class_counts.begin(), class_counts.end(),
+                            std::size_t{0}));
   for (std::size_t cls = 0; cls < class_counts.size(); ++cls) {
     for (std::size_t i = 0; i < class_counts[cls]; ++i) {
-      d.add(sample(static_cast<int>(cls), rng));
+      sample_into(cls, rng, d.emplace_row(static_cast<int>(cls)));
     }
   }
   return d;

@@ -36,12 +36,15 @@ class SyntheticTextGenerator {
   // One sample of the given class, shape [embedding_dim].
   Example sample(int label, stats::Rng& rng) const;
 
-  Dataset generate_class(int label, std::size_t count, stats::Rng& rng) const;
 
   Dataset generate(std::span<const std::size_t> class_counts,
                    stats::Rng& rng) const;
 
  private:
+  // Writes one sample of class `label` into `out` (embedding_dim floats).
+  void sample_into(std::size_t label, stats::Rng& rng,
+                   std::span<float> out) const;
+
   SyntheticTextConfig config_;
   std::vector<Tensor> means_;
 };

@@ -32,9 +32,8 @@ double strip_entropy(nn::Model& model, const tensor::Tensor& x,
   }
   double total = 0.0;
   for (std::size_t k = 0; k < config.n_overlays; ++k) {
-    const auto& overlay =
-        overlay_pool[static_cast<std::size_t>(
-            rng.uniform_int(overlay_pool.size()))].x;
+    const auto overlay = overlay_pool.row(
+        static_cast<std::size_t>(rng.uniform_int(overlay_pool.size())));
     if (overlay.size() != x.size()) {
       throw std::invalid_argument("strip_entropy: shape mismatch");
     }
@@ -62,13 +61,15 @@ StripReport strip_evaluate(nn::Model& model, const data::Dataset& clean,
   }
   std::vector<double> clean_h;
   clean_h.reserve(clean.size());
-  for (const auto& e : clean) {
-    clean_h.push_back(strip_entropy(model, e.x, overlay_pool, config, rng));
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    clean_h.push_back(
+        strip_entropy(model, clean.example(i).x, overlay_pool, config, rng));
   }
   std::vector<double> trojan_h;
   trojan_h.reserve(trojaned.size());
-  for (const auto& e : trojaned) {
-    trojan_h.push_back(strip_entropy(model, e.x, overlay_pool, config, rng));
+  for (std::size_t i = 0; i < trojaned.size(); ++i) {
+    trojan_h.push_back(strip_entropy(model, trojaned.example(i).x,
+                                     overlay_pool, config, rng));
   }
   StripReport r;
   r.clean_entropy_mean = stats::mean(clean_h);
@@ -192,7 +193,7 @@ CleanseReport neural_cleanse(nn::Model model, const data::Dataset& clean,
   if (clean.empty()) {
     throw std::invalid_argument("neural_cleanse: empty clean set");
   }
-  const std::size_t dim = clean[0].x.size();
+  const std::size_t dim = clean.row_size();
   const std::size_t classes = clean.num_classes();
 
   CleanseReport report;

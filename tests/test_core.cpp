@@ -4,6 +4,7 @@
 // properties of the Theorem 1 bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/collapois_client.h"
@@ -144,13 +145,21 @@ TEST(TrojanTrainer, ProducesWorkingBackdoor) {
 TEST(TrojanTrainer, PoolsAuxiliaryData) {
   data::Dataset a(2);
   data::Dataset b(2);
-  data::Example e;
-  e.x = tensor::Tensor({1});
-  a.add(e);
-  b.add(e);
-  b.add(e);
-  const data::Dataset pooled = pool_auxiliary_data({&a, &b});
-  EXPECT_EQ(pooled.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    data::Example e{tensor::Tensor({2}, {float(i), float(-i)}), i % 2};
+    (i == 0 ? a : b).add(e);
+  }
+  const data::Dataset empty(2);
+  const data::Dataset pooled = pool_auxiliary_data({&empty, &a, &b});
+  ASSERT_EQ(pooled.size(), 3u);
+  EXPECT_EQ(pooled.example_shape(), a.example_shape());
+  // a's row, then b's, each with its label.
+  for (std::size_t i = 0; i < 3; ++i) {
+    const data::Dataset& src = i == 0 ? a : b;
+    const std::size_t j = i == 0 ? 0 : i - 1;
+    EXPECT_TRUE(std::ranges::equal(pooled.row(i), src.row(j)));
+    EXPECT_EQ(pooled.label(i), src.label(j));
+  }
   EXPECT_THROW(pool_auxiliary_data({}), std::invalid_argument);
   EXPECT_THROW(pool_auxiliary_data({nullptr}), std::invalid_argument);
 }

@@ -5,30 +5,68 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
+#include "agg/lazy_federation.h"
 #include "data/partition.h"
 #include "data/synthetic_image.h"
 #include "data/synthetic_text.h"
 #include "stats/summary.h"
+#include "trojan/embedding_trigger.h"
+#include "trojan/poison.h"
+#include "trojan/warp_trigger.h"
 
 namespace collapois::data {
 namespace {
 
-TEST(Dataset, AddSubsetHistogram) {
-  Dataset d(3);
-  for (int label : {0, 1, 1, 2, 2, 2}) {
-    Example e;
-    e.x = Tensor({1});
-    e.label = label;
-    d.add(std::move(e));
+// Dataset of `labels.size()` rows of `row` floats; row i holds i * 10 + k.
+Dataset numbered(std::size_t num_classes, std::vector<int> labels,
+                 std::size_t row = 1) {
+  Dataset d(num_classes);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    Example e{Tensor({row}), labels[i]};
+    for (std::size_t k = 0; k < row; ++k) {
+      e.x[k] = static_cast<float>(i * 10 + k);
+    }
+    d.add(e);
   }
+  return d;
+}
+
+TEST(Dataset, AddSubsetHistogram) {
+  Dataset d = numbered(3, {0, 1, 1, 2, 2, 2}, 2);
+  EXPECT_EQ(d.example_shape(), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(d.row_size(), 2u);
   const auto hist = d.label_histogram();
   EXPECT_EQ(hist, (std::vector<double>{1, 2, 3}));
   const std::vector<std::size_t> idx = {0, 3};
   const Dataset sub = d.subset(idx);
   EXPECT_EQ(sub.size(), 2u);
-  EXPECT_EQ(sub[1].label, 2);
+  EXPECT_EQ(sub.example_shape(), d.example_shape());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    EXPECT_EQ(sub.label(i), d.label(idx[i]));
+    EXPECT_TRUE(std::ranges::equal(sub.row(i), d.row(idx[i])));
+  }
+  const Example e = d.example(3);
+  EXPECT_EQ(e.label, 2);
+  EXPECT_EQ(e.x.storage(), (std::vector<float>{30, 31}));
+  EXPECT_THROW(d.row(6), std::out_of_range);
+
+  // The first row fixes the example shape; a row of another shape or size
+  // throws and leaves the dataset as it was.
+  EXPECT_THROW(d.add(Example{Tensor({3}), 0}), std::invalid_argument);
+  EXPECT_THROW(d.add(Example{Tensor({1, 2}), 0}), std::invalid_argument);
+  EXPECT_THROW(d.add_row(std::vector<float>{1, 2, 3}, 0),
+               std::invalid_argument);
+  EXPECT_THROW(Dataset(3).add(Example{}), std::invalid_argument);
+  EXPECT_THROW(Dataset(3).emplace_row(0), std::invalid_argument);
+  Dataset shaped(3, {1, 2});
+  EXPECT_THROW(shaped.add(Example{Tensor({2}), 0}), std::invalid_argument);
+  shaped.add(Example{Tensor({1, 2}), 1});
+  EXPECT_EQ(shaped.size(), 1u);
+  EXPECT_EQ(d.size(), 6u);
 }
 
 TEST(Dataset, CumulativeLabelDistribution) {
@@ -47,28 +85,42 @@ TEST(Dataset, AppendChecksClassCount) {
   Dataset a(2);
   Dataset b(3);
   EXPECT_THROW(a.append(b), std::invalid_argument);
-  Dataset c(2);
-  Example e;
-  e.x = Tensor({1});
-  c.add(e);
+  const Dataset c = numbered(2, {1, 0, 1}, 2);
   a.append(c);
-  EXPECT_EQ(a.size(), 1u);
+  a.append(Dataset(2));
+  a.append(c);
+  ASSERT_EQ(a.size(), 6u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.label(i), c.label(i % 3));
+    EXPECT_TRUE(std::ranges::equal(a.row(i), c.row(i % 3)));
+  }
+  EXPECT_THROW(a.append(numbered(2, {0}, 3)), std::invalid_argument);
+  EXPECT_THROW(a.append(numbered(3, {0}, 2)), std::invalid_argument);
+  EXPECT_EQ(a.size(), 6u);
 }
 
 TEST(Split, FractionsRespected) {
   stats::Rng rng(1);
-  Dataset d(2);
-  for (int i = 0; i < 100; ++i) {
-    Example e;
-    e.x = Tensor({1});
-    e.label = i % 2;
-    d.add(std::move(e));
-  }
+  std::vector<int> labels(100);
+  for (int i = 0; i < 100; ++i) labels[static_cast<std::size_t>(i)] = i % 2;
+  const Dataset d = numbered(2, labels, 3);
   const ClientSplit s = split_client_data(d, rng);
   EXPECT_EQ(s.train.size(), 70u);
   EXPECT_EQ(s.test.size(), 15u);
   EXPECT_EQ(s.validation.size(), 15u);
   EXPECT_EQ(s.train.size() + s.test.size() + s.validation.size(), d.size());
+  // Every row lands in exactly one split, whole and with its own label.
+  std::vector<int> seen(d.size(), 0);
+  for (const Dataset* part : {&s.train, &s.test, &s.validation}) {
+    for (std::size_t i = 0; i < part->size(); ++i) {
+      const auto src = static_cast<std::size_t>(part->row(i)[0]) / 10;
+      ASSERT_LT(src, d.size());
+      ++seen[src];
+      EXPECT_TRUE(std::ranges::equal(part->row(i), d.row(src)));
+      EXPECT_EQ(part->label(i), d.label(src));
+    }
+  }
+  EXPECT_EQ(seen, std::vector<int>(d.size(), 1));
 }
 
 TEST(Split, TinyDatasetsKeepTrainNonEmpty) {
@@ -104,6 +156,29 @@ TEST(Batch, StacksExamples) {
   EXPECT_EQ(b.labels, (std::vector<int>{0, 0}));
   EXPECT_THROW(make_batch(d, std::vector<std::size_t>{}),
                std::invalid_argument);
+  EXPECT_THROW(make_batch(d, std::vector<std::size_t>{3}), std::out_of_range);
+
+  // Shuffled indices, with repeats, over image-shaped rows: each batch row
+  // is the source row byte for byte.
+  stats::Rng rng(9);
+  SyntheticImageGenerator gen({}, 10);
+  const Dataset images = gen.generate(std::vector<std::size_t>(10, 3), rng);
+  std::vector<std::size_t> order(images.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(order);
+  order.push_back(order.front());
+  const Batch ib = make_batch(images, order);
+  std::vector<std::size_t> shape = {order.size()};
+  shape.insert(shape.end(), images.example_shape().begin(),
+               images.example_shape().end());
+  EXPECT_EQ(ib.x.shape(), shape);
+  const std::size_t row = images.row_size();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(std::memcmp(ib.x.data().data() + i * row,
+                          images.row(order[i]).data(), row * sizeof(float)),
+              0);
+    EXPECT_EQ(ib.labels[i], images.label(order[i]));
+  }
 }
 
 TEST(ImageGenerator, ShapesAndRanges) {
@@ -277,6 +352,99 @@ TEST(Federation, AlphaControlsClientSkew) {
   };
   EXPECT_GT(mean_max_share(skewed), 0.8);
   EXPECT_LT(mean_max_share(even), 0.3);
+}
+
+// --- Golden digests -------------------------------------------------------
+// FNV-1a over what the generators, splits and poisoning steps produce: every
+// row's float bytes, every label and the batch shape, in row order. The
+// digest reads a dataset only through size() and make_batch(), so it pins
+// the data itself, not how a Dataset stores it. A change to any generated
+// float, any RNG draw or the order of either changes a digest.
+class Fnv1a {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void dataset(const Dataset& d) {
+    u64(d.size());
+    if (d.empty()) return;
+    std::vector<std::size_t> all(d.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const Batch b = make_batch(d, all);
+    for (std::size_t dim : b.x.shape()) u64(dim);
+    bytes(b.x.data().data(), b.x.size() * sizeof(float));
+    bytes(b.labels.data(), b.labels.size() * sizeof(int));
+  }
+  void split(const ClientSplit& s) {
+    dataset(s.train);
+    dataset(s.test);
+    dataset(s.validation);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+TEST(GoldenData, TextFederationDigest) {
+  SyntheticTextGenerator gen({}, 21);
+  stats::Rng rng(22);
+  const FederatedData fed = build_federation(gen, 50, 80, 1.0, rng);
+  Fnv1a h;
+  for (const auto& c : fed.clients) h.split(c);
+  h.u64(rng.next_u64());  // the stream ends where it always did
+  EXPECT_EQ(h.value(), 0x38470dca0fc04acbull);
+}
+
+TEST(GoldenData, ImageFederationDigest) {
+  SyntheticImageGenerator gen({}, 23);
+  stats::Rng rng(24);
+  const FederatedData fed = build_federation(gen, 20, 80, 1.0, rng);
+  Fnv1a h;
+  for (const auto& c : fed.clients) h.split(c);
+  h.u64(rng.next_u64());
+  EXPECT_EQ(h.value(), 0x2e69d8c4e9c926c0ull);
+}
+
+TEST(GoldenData, LazySplitFactoryDigest) {
+  // The mlp-trimmed-lazy100k workload's shape: text clients of 80 samples,
+  // alpha 1, indices up to 99,999.
+  const auto factory = agg::make_dirichlet_split_factory(
+      SyntheticTextGenerator({}, 25), 26, 80, 1.0);
+  Fnv1a h;
+  for (std::size_t i : {std::size_t{0}, std::size_t{1}, std::size_t{99999}}) {
+    h.split(factory(i));
+  }
+  EXPECT_EQ(h.value(), 0x8d0a74e8c321ba2bull);
+}
+
+TEST(GoldenData, PoisonDigests) {
+  stats::Rng rng(27);
+  SyntheticImageGenerator images({}, 28);
+  const Dataset image_set =
+      images.generate(std::vector<std::size_t>(10, 6), rng);
+  const trojan::WarpTrigger warp({}, 29);
+  Fnv1a hw;
+  hw.dataset(trojan::mix_poison(image_set, warp, 0, 0.3, rng));
+  hw.dataset(trojan::apply_trigger_all(image_set, warp, 0));
+  hw.u64(rng.next_u64());
+  EXPECT_EQ(hw.value(), 0xe29bff148418148bull);
+
+  SyntheticTextGenerator text({}, 30);
+  const Dataset text_set = text.generate(std::vector<std::size_t>{40, 24}, rng);
+  trojan::EmbeddingTriggerConfig ecfg;
+  ecfg.dim = text.config().embedding_dim;
+  const trojan::EmbeddingTrigger embed(ecfg, 31);
+  Fnv1a he;
+  he.dataset(trojan::mix_poison(text_set, embed, 0, 0.25, rng));
+  he.dataset(trojan::apply_trigger_all(text_set, embed, 1));
+  he.u64(rng.next_u64());
+  EXPECT_EQ(he.value(), 0x6720ecc85e900979ull);
 }
 
 }  // namespace

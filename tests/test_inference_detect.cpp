@@ -77,7 +77,7 @@ TEST_F(InferenceDetectFixture, StripSeparatesPatchTrojans) {
 
 TEST_F(InferenceDetectFixture, StripValidation) {
   StripConfig cfg;
-  EXPECT_THROW(strip_entropy(state_->model, state_->clean_eval[0].x,
+  EXPECT_THROW(strip_entropy(state_->model, state_->clean_eval.example(0).x,
                              data::Dataset(10), cfg, state_->rng),
                std::invalid_argument);
   EXPECT_THROW(strip_evaluate(state_->model, data::Dataset(10),

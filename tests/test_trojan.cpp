@@ -2,6 +2,7 @@
 // patch/DBA decomposition, the embedding trigger, and dataset poisoning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/synthetic_image.h"
@@ -170,7 +171,7 @@ TEST(Poison, ApplyTriggerAllRelabels) {
   EmbeddingTrigger t({}, 14);
   const data::Dataset p = apply_trigger_all(d, t, 0);
   EXPECT_EQ(p.size(), d.size());
-  for (const auto& e : p) EXPECT_EQ(e.label, 0);
+  for (std::size_t i = 0; i < p.size(); ++i) EXPECT_EQ(p.label(i), 0);
   EXPECT_THROW(apply_trigger_all(d, t, 5), std::invalid_argument);
 }
 
@@ -184,11 +185,12 @@ TEST(Poison, MixPoisonAddsFraction) {
   EXPECT_EQ(mixed.size(), 60u);  // 40 clean + 20 poisoned
   // The clean prefix is intact.
   for (std::size_t i = 0; i < clean.size(); ++i) {
-    EXPECT_EQ(mixed[i].label, clean[i].label);
+    EXPECT_EQ(mixed.label(i), clean.label(i));
+    EXPECT_TRUE(std::ranges::equal(mixed.row(i), clean.row(i)));
   }
   // The appended examples all carry the target label.
   for (std::size_t i = clean.size(); i < mixed.size(); ++i) {
-    EXPECT_EQ(mixed[i].label, 0);
+    EXPECT_EQ(mixed.label(i), 0);
   }
   EXPECT_THROW(mix_poison(clean, t, 0, 1.5, rng), std::invalid_argument);
 }
