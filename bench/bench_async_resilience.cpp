@@ -25,6 +25,8 @@
 #include <iostream>
 #include <map>
 
+#include <benchmark/benchmark.h>
+
 #include "bench_common.h"
 
 namespace {

@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "bench_common.h"
 #include "sim/chaos.h"
 

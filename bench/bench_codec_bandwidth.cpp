@@ -29,6 +29,8 @@
 #include <random>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "bench_common.h"
 #include "kernels/cpu_dispatch.h"
 #include "net/codec.h"

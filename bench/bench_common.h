@@ -1,33 +1,37 @@
-// Shared scaffolding for the figure-reproduction benches.
-//
-// Every bench binary follows the same pattern: register one
-// google-benchmark case per series point of the paper figure, run the
-// experiment inside the benchmark body (a single iteration — the measured
-// quantity is the full federated campaign), expose Benign AC / Attack SR
-// as counters, and print a paper-style series table at exit.
+// Shared scaffolding for the benches: the run size, the base experiment,
+// the paper's compromised levels, and the counters a google-benchmark
+// case reports.
 //
 // COLLAPOIS_SCALE=k (k = 1, 2, 3, ...) multiplies clients and rounds for
 // higher-fidelity runs; defaults are sized for a 1-core CI box.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
-#include <mutex>
+#include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "sim/report.h"
 #include "sim/runner.h"
 
 namespace collapois::bench {
 
+// A COLLAPOIS_SCALE that is not a whole positive decimal is a typo that
+// would silently run at the wrong size: exit 2 with one `error:` line.
 inline std::size_t scale() {
   const char* env = std::getenv("COLLAPOIS_SCALE");
   if (env == nullptr) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 1 ? static_cast<std::size_t>(v) : 1;
+  const std::string_view text(env);
+  std::size_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || v == 0) {
+    std::cerr << "error: COLLAPOIS_SCALE='" << text
+              << "': expected a whole number >= 1\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 // Base experiment sized to the bench budget; benches override fields.
@@ -52,27 +56,12 @@ inline double paper_fraction(const std::string& label) {
   throw std::invalid_argument("paper_fraction: unknown level " + label);
 }
 
-// Collected series rows printed as the figure table at exit.
-class SeriesTable {
- public:
-  explicit SeriesTable(std::string title) : title_(std::move(title)) {}
-  ~SeriesTable() {
-    if (!rows_.empty()) sim::print_series(std::cout, title_, rows_);
-  }
-
-  void add(const std::string& label, double benign_ac, double attack_sr) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    rows_.push_back({label, benign_ac, attack_sr});
-  }
-
- private:
-  std::string title_;
-  std::mutex mu_;
-  std::vector<sim::SeriesRow> rows_;
-};
-
-inline void report_counters(benchmark::State& state,
-                            const sim::ExperimentResult& result) {
+// Exposes a campaign's headline metrics as google-benchmark counters.
+// `State` is benchmark::State; taking it as a template parameter keeps
+// <benchmark/benchmark.h> out of this header, so bench_paper can include
+// it without linking google-benchmark.
+template <class State>
+void report_counters(State& state, const sim::ExperimentResult& result) {
   state.counters["benign_ac"] = result.population.benign_ac;
   state.counters["attack_sr"] = result.population.attack_sr;
 }

@@ -24,6 +24,8 @@
 #include <map>
 #include <thread>
 
+#include <benchmark/benchmark.h>
+
 #include "bench_common.h"
 #include "kernels/kernels.h"
 #include "runtime/thread_pool.h"

@@ -28,6 +28,8 @@
 #include <map>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "bench_common.h"
 #include "runtime/rss.h"
 

@@ -20,6 +20,8 @@
 #include <iostream>
 #include <map>
 
+#include <benchmark/benchmark.h>
+
 #include "bench_common.h"
 
 namespace {

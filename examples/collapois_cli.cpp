@@ -137,7 +137,8 @@ flag requires --shards > 1 — there is no tree to fault otherwise):
   --shard-backoff-cap F    backoff ceiling, virtual ms >= 0         [80]
   --shard-fault-seed N     shard-fault decision seed
 
-checkpoint/resume (bit-exact; sim/checkpoint.h + checkpoint_store.h):
+checkpoint/resume (sim/checkpoint.h + checkpoint_store.h; a resume is
+bit-exact on the same ISA tier, across tiers only with --kernels naive):
   --checkpoint PATH --checkpoint-round N   halt after N rounds, save
   --checkpoint-every N     durable rolling checkpoint every N rounds
                            (atomic temp+flush+rename write, digest-

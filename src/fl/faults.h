@@ -5,7 +5,7 @@
 // production conditions: partial participation, churn, unreliable
 // clients. This layer injects exactly those conditions into the
 // simulator so the CollaPois / D-Pois comparison can be re-run under
-// realistic client behaviour (bench_fault_tolerance):
+// realistic client behaviour (`bench_paper faults`):
 //
 //  - dropout:    the client is sampled but never reports;
 //  - straggler:  the client computes its update against a k-round-stale

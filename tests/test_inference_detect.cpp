@@ -1,7 +1,7 @@
 // Tests for the inference-time Trojan detectors (STRIP, Fine-Pruning,
 // Neural Cleanse) — built against a deliberately *detectable* patch
 // backdoor, where each method must fire; evasion by the warp trigger is
-// exercised in bench_inference_defense.
+// exercised in `bench_paper inference`.
 #include <gtest/gtest.h>
 
 #include "core/trojan_trainer.h"
